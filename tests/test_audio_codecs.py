@@ -199,6 +199,26 @@ def test_audio_spectral_stage_mixed_media():
     assert len(empty) == 0 and "m7" in empty.column_names
 
 
+def test_audio_stages_skip_undecodable_audio_mimes():
+    import pyarrow as pa
+
+    from xpshacl_ray.stages.multimodal import (
+        AudioFingerprint,
+        AudioSpectral,
+        encode_wav,
+    )
+
+    wav = encode_wav(np.clip(_tone(8000), -1, 1), 8000)
+    t = pa.table({"media_id": pa.array([0, 1], pa.int64()),
+                  "mime": ["audio/mpeg", "audio/wav"],
+                  "payload": pa.array([b"ID3\x04mp3-bytes", wav],
+                                      pa.binary())})
+    # an audio mime with no in-repo decoder is skipped like a non-audio
+    # row, not a KeyError that kills the task
+    assert AudioSpectral()(t)["media_id"].to_pylist() == [1]
+    assert AudioFingerprint()(t)["media_id"].to_pylist() == [1]
+
+
 def test_audio_fingerprint_robustness_and_pairs():
     from xpshacl_ray.functions.dedup import hash64_near_dups
     from xpshacl_ray.stages.audio import audio_fingerprint

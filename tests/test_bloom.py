@@ -60,29 +60,3 @@ def test_bloom_referential_path(sf_dir):
     approx = eng.validate(orders, ref_keys={"o_custkey": bloom}).count()
     assert approx <= exact          # false positives can only HIDE violations
     assert approx >= exact * 0.9    # and only ~fp_rate of them
-
-
-def test_standalone_evaluate_referential(sf_dir):
-    # the non-fused standalone referential stage (validate() fuses it into
-    # the row-local scan; this form runs it as its own pass)
-    from xpshacl_ray.spec import compile_spec
-    from xpshacl_ray.stages.referential import distinct_keys, evaluate_referential
-
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey", "c_acctbal"])
-    good = cust.filter(expr="c_acctbal >= 0")
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_orderkey", "o_custkey"])
-    spec = ValidationSpec(
-        constraints=[Referential(column="o_custkey", ref_table="customer",
-                                 ref_column="c_custkey")],
-        id_columns=["o_orderkey"],
-        focus_template="order:{o_orderkey}",
-    )
-    compiled = compile_spec(spec)
-    keys = distinct_keys(good, "c_custkey")
-    parts = evaluate_referential(orders, compiled, {"o_custkey": keys})
-    standalone = parts[0].count()
-    fused = ValidationEngine(spec).validate(
-        orders, ref_keys={"o_custkey": keys}).count()
-    assert standalone == fused > 0

@@ -641,6 +641,13 @@ def test_netpbm_whole_family():
     cv = rng.integers(0, 256, size=(2, 3, 3), dtype=np.uint8)
     p3 = b"P3\n3 2\n255\n" + " ".join(map(str, cv.reshape(-1))).encode()
     assert np.array_equal(decode_ppm(p3), cv)
+    # comments inside the ASCII raster run to end of line, digits and all
+    p1c = b"P1\n5 2\n011 # row 0 1111\n01\n#1111\n10010\n"
+    assert np.array_equal(decode_ppm(p1c), dec1)
+    g = [str(v).encode() for v in gv.reshape(-1)]
+    p2c = (b"P2\n4 3\n99\n" + b" ".join(g[:5]) + b" # 7 x\n"
+           + b" ".join(g[5:]))
+    assert np.array_equal(decode_ppm(p2c), np.repeat(w2[:, :, None], 3, 2))
     with pytest.raises(ValueError, match="netpbm"):
         decode_ppm(b"P7\nnope")
 
@@ -729,6 +736,45 @@ def test_on_error_null_streams_past_corruption():
     good = np.stack([np.asarray(f)
                      for f in out[out["features"].notna()]["features"]])
     assert np.isfinite(good).all()
+
+
+def test_on_error_null_covers_corrupt_png_idat_and_mp4_stsc():
+    import struct
+    import zlib
+
+    import pyarrow as pa
+
+    from xpshacl_ray.stages.multimodal import (
+        _png_chunk,
+        encode_mjpeg_mp4,
+        encode_png,
+    )
+
+    rng = np.random.default_rng(5)
+    img = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
+    png = encode_png(img)
+    # garble the zlib stream inside IDAT but keep the chunk CRC valid,
+    # so the decoder reaches zlib.decompress
+    at = png.index(b"IDAT") - 4
+    (n,) = struct.unpack(">I", png[at:at + 4])
+    body = bytearray(png[at + 8:at + 8 + n])
+    body[2:] = bytes(b ^ 0xFF for b in body[2:])
+    bad_png = png[:at] + _png_chunk(b"IDAT", bytes(body)) + png[at + 12 + n:]
+    # stsc whose first entry starts at chunk 2: no entry covers chunk 1
+    mp4 = encode_mjpeg_mp4(rng.integers(0, 256, size=(3, 16, 16, 3),
+                                        dtype=np.uint8))
+    at = mp4.index(b"stsc") + 12  # type, version/flags, entry count
+    bad_mp4 = mp4[:at] + struct.pack(">I", 2) + mp4[at + 4:]
+
+    with pytest.raises(zlib.error):
+        MediaDecoder()._decode_one("image/png", bad_png)
+    with pytest.raises(ValueError, match="stsc"):
+        MediaDecoder()._decode_one("video/mp4", bad_mp4)
+    t = pa.table({"media_id": pa.array([0, 1, 2], pa.int64()),
+                  "mime": ["image/png", "video/mp4", "image/png"],
+                  "payload": pa.array([bad_png, bad_mp4, png], pa.binary())})
+    out = MediaDecoder(on_error="null")(t)
+    assert out["features"].is_null().to_pylist() == [True, True, False]
 
 
 def test_qoi_roundtrip_all_op_kinds():

@@ -174,40 +174,6 @@ def test_knn_handles_empty_blocks(sf_dir):
     assert list(got_empty.columns) == ["query_idx", "vec_id", "cosine", "rank"]
 
 
-# --- auto grouped-strategy planning (sketch-based) -------------------------
-
-
-def test_grouped_auto_strategy_picks_and_agrees():
-    import pyarrow as pa
-
-    from xpshacl_ray import MaxCount, ValidationSpec, compile_spec
-    from xpshacl_ray.stages.grouped import estimate_group_count, evaluate_grouped
-
-    t = pa.table({"k": [1, 1, 1, 2, 2], "v": ["a", "b", "c", "d", "e"]})
-    ds = ray.data.from_arrow(t)
-    spec = compile_spec(ValidationSpec(
-        constraints=[MaxCount(column="v", group_by=["k"], max_count=2)],
-        id_columns=[], focus_template="g:{k}"))
-
-    est = estimate_group_count(ds.select_columns(["k"]), ["k"])
-    assert 1 <= est <= 4  # ~2 groups, sketch tolerance
-
-    def rows(strategy, **kw):
-        parts = evaluate_grouped(ds, spec, strategy=strategy, **kw)
-        out = parts[0].to_pandas()
-        return sorted(out["focus_node"])
-
-    keys_rows = rows("keys")
-    # auto with the default threshold plans "keys" (2 groups << 50M)
-    assert rows("auto") == keys_rows
-    # auto with threshold 0 forces the hashed exchange — same violations
-    assert rows("auto", auto_hashed_groups=0) == keys_rows
-    assert keys_rows == ["group:1"]
-
-    with pytest.raises(ValueError, match="unknown grouped strategy"):
-        evaluate_grouped(ds, spec, strategy="nope")
-
-
 def test_choose_bands_s_curve(docs_with_dups):
     from xpshacl_ray.functions.dedup import choose_bands
 
@@ -257,36 +223,6 @@ def test_hot_bucket_cap_degenerate_minhash_completes():
     assert len(pairs) == 128 * 127 // 2
     assert (pairs["jaccard_est"] == 1.0).all()
     assert pairs["id_a"].min() == 0 and pairs["id_b"].max() == 127
-
-
-def test_hashed_strategy_join_recovery_matches_broadcast(monkeypatch):
-    # force the join-recovery path (violating set "too big to broadcast")
-    # and check identical violations vs broadcast recovery and keys
-    import pyarrow as pa
-
-    from xpshacl_ray import MaxCount, ValidationSpec, compile_spec
-    from xpshacl_ray.stages import grouped as G
-
-    t = pa.table({"k": ["a", "a", "a", "b", "b", "c"],
-                  "v": list("123456")})
-    ds = ray.data.from_arrow(t)
-    spec = compile_spec(ValidationSpec(
-        constraints=[MaxCount(column="v", group_by=["k"], max_count=1)],
-        id_columns=[], focus_template="g:{k}"))
-
-    def rows(**kw):
-        with_patch = kw.pop("limit", None)
-        if with_patch is not None:
-            monkeypatch.setattr(G, "HASHED_BROADCAST_LIMIT", with_patch)
-        parts = G.evaluate_grouped(ds, spec, strategy=kw.pop("s"))
-        out = parts[0].to_pandas()
-        return sorted(zip(out["focus_node"], out["message"]))
-
-    keys_rows = rows(s="keys")
-    bcast_rows = rows(s="hashed")
-    join_rows = rows(s="hashed", limit=0)
-    assert keys_rows == bcast_rows == join_rows
-    assert len(keys_rows) == 2  # groups a (3 values) and b (2 values)
 
 
 def test_apply_wide_content_context_sizing():
@@ -368,30 +304,3 @@ def test_sparql_sqlchecks_translates_every_block_on_a_holder():
     # silently dropped
     assert len(checks["http://example.org/T"]) == 2
     assert len(skipped) == 1
-
-
-def test_hashed_join_recovery_preserves_int64_keys():
-    import pyarrow as pa
-    import ray.data
-
-    from xpshacl_ray.spec import MaxCount, ValidationSpec, compile_spec
-    from xpshacl_ray.stages import grouped as G
-
-    big = 2**60 + 1  # corrupts to 1.15e18 under a float64 round-trip
-    t = pa.table({"k": pa.array([big, big, 7], pa.int64()),
-                  "v": pa.array(["a", "b", "c"])})
-    spec = compile_spec(ValidationSpec(
-        constraints=[MaxCount(column="v", group_by=["k"], max_count=1)],
-        id_columns=[], focus_template="g:{k}"))
-    ds = ray.data.from_arrow(t)
-    # force the join-recovery path (broadcast limit 0)
-    orig = G.HASHED_BROADCAST_LIMIT
-    G.HASHED_BROADCAST_LIMIT = 0
-    try:
-        out = G.evaluate_grouped(ds, spec, [], strategy="hashed")
-        viol = out[0].to_pandas()
-    finally:
-        G.HASHED_BROADCAST_LIMIT = orig
-    assert len(viol) == 1
-    # exact integer in the focus — not 1.152921504606847e+18
-    assert viol.iloc[0]["focus_node"] == f"group:{big}"

@@ -70,6 +70,30 @@ def test_salted_merge_equals_unsalted(docs_ds):
     assert np.allclose(a["n_chars_p50"], b["n_chars_p50"], rtol=0.05)
 
 
+def test_salted_profile_is_deterministic():
+    # enough rows per group that the t-digest compresses, so a different
+    # salt layout shows up in the merged quantiles
+    rng = np.random.default_rng(0)
+    n = 60_000
+    t = pa.table({"g": rng.choice(["a", "b"], n), "x": rng.lognormal(size=n),
+                  "d": rng.integers(0, 5000, n)})
+    ds = ray.data.from_arrow([t.slice(i, 5000) for i in range(0, n, 5000)])
+    cfg = StatsConfig(group_keys=["g"], numeric_cols=["x"],
+                      distinct_cols=["d"])
+    salted_cfg = StatsConfig(**{**cfg.__dict__, "salt_buckets": 4})
+
+    def run(c):
+        rows = sketch_rows(ds, c, batch_size=1000).to_pandas()
+        return finalize_stats(rows, c).set_index("g").sort_index()
+
+    salted = run(salted_cfg)
+    pd.testing.assert_frame_equal(salted, run(salted_cfg))
+    plain = run(cfg)
+    assert (salted["n_rows"] == plain["n_rows"]).all()
+    assert (salted["d_distinct_est"] == plain["d_distinct_est"]).all()
+    assert np.allclose(salted["x_p50"], plain["x_p50"], rtol=0.02)
+
+
 def test_drift_self_passes_shifted_fails(docs_ds):
     ref = sketch_rows(docs_ds, CFG).to_pandas()
     # self vs self → pass

@@ -20,7 +20,7 @@ reference's "first instance is representative" semantics (main.py:139-211).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import pyarrow as pa
@@ -34,7 +34,7 @@ from ..justify import tree_json_for_row
 from ..spec import CompiledSpec, ValidationSpec, compile_spec
 from ..stages.evaluate import evaluate_row_local
 from ..stages.grouped import evaluate_grouped
-from ..stages.referential import distinct_keys
+from ..stages.referential import _RefMask, distinct_keys
 
 
 @dataclass
@@ -97,17 +97,13 @@ class ValidationEngine:
         ds: "ray.data.Dataset",
         ref_datasets: Optional[Dict[str, "ray.data.Dataset"]] = None,
         ref_keys: Optional[Dict[str, pa.Array]] = None,
-        grouped_ds: Optional["ray.data.Dataset"] = None,
-        grouped_strategy: str = "keys",
     ) -> "ray.data.Dataset":
         """Full violations Dataset: (row-local ∪ referential) ∪ grouped.
 
         Referential checks are FUSED into the row-local scan — their mask
         is row-local once the referenced key set is broadcast, so they cost
         no extra pass over the input.  Grouped constraints need their own
-        (key-projected) pass; pass ``grouped_ds`` to run them over a
-        cheaper source (e.g. a raw read without derived lineage columns)
-        when ``ds`` carries expensive upstream transforms.
+        (key-projected) exchange, pipelined with that scan.
         """
         compiled = self.compiled
         missing = set(compiled.required_columns()) - set(ds.schema().names)
@@ -119,10 +115,6 @@ class ValidationEngine:
         parts: List[ray.data.Dataset] = []
         fused = list(compiled.row_local)
         if compiled.referential:
-            from dataclasses import replace
-
-            from ..stages.referential import _RefMask
-
             keys = dict(ref_keys or {})
             for cc in compiled.referential:
                 col = cc.constraint.column
@@ -153,11 +145,7 @@ class ValidationEngine:
                 )
             )
         if compiled.grouped:
-            sch = ds.schema()
-            tmap = dict(zip(sch.names, sch.types))
-            id_types = [tmap[c] for c in compiled.id_columns]
-            parts += evaluate_grouped(grouped_ds or ds, compiled, id_types,
-                                      strategy=grouped_strategy)
+            parts += evaluate_grouped(ds, compiled)
         if not parts:
             raise ValueError("spec has no constraints")
         out = parts[0]

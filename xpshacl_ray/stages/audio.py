@@ -26,7 +26,7 @@ the engine's addition).  Unknown format tags raise the honest
 from __future__ import annotations
 
 import struct
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 

@@ -19,8 +19,8 @@ reference's enrichment contract), so its partial cannot be dropped from the
 exchange; capping partials at ``max_count + 1`` preserves the violates/
 not-violates decision but corrupts the reported count.  The exchange already
 moves only one (key, partial) row per group per batch — there is nothing
-sound left to prune without a second count-recovery pass, which is exactly
-the ``hashed`` strategy below.
+sound left to prune without a second count-recovery pass (an extra barrier
+plus a second input scan, measured slower than this one exchange).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..functions.arrowutil import agg_select
 from ..spec import CompiledConstraint, CompiledSpec, MaxCount, MinCount
 from .evaluate import violations_schema
 
@@ -75,7 +74,6 @@ def _grouped_violation_rows(
 ) -> pa.Table:
     """Build violation rows from violating groups — vectorized so a
     pathological spec (every group violating) still streams."""
-    import numpy as np
     import pyarrow.compute as pc
 
     n = groups.num_rows
@@ -126,6 +124,27 @@ def _grouped_violation_rows(
     return pa.table({name: cols[name] for name in schema.names})
 
 
+def _id_types(ds: "ray.data.Dataset", spec: CompiledSpec,
+              id_types: Optional[List[pa.DataType]]) -> List[pa.DataType]:
+    """``id_types`` as given, else the id columns' types read off ``ds``."""
+    if id_types is not None:
+        return id_types
+    sch = ds.schema()
+    tmap = dict(zip(sch.names, sch.types))
+    return [tmap[c] for c in spec.id_columns]
+
+
+def _violations_of(bad: "ray.data.Dataset", cc: CompiledConstraint,
+                   keys: List[str], spec: CompiledSpec,
+                   id_types: List[pa.DataType]) -> "ray.data.Dataset":
+    """Violating ``(keys, actual_count)`` groups → violation rows."""
+
+    def to_rows(batch: pa.Table) -> pa.Table:
+        return _grouped_violation_rows(batch, cc, keys, spec, id_types)
+
+    return bad.map_batches(to_rows, batch_format="pyarrow")
+
+
 def _key_hashes(batch: pa.Table, keys: List[str]) -> np.ndarray:
     """64-bit hash of the composite key (vectorized)."""
     import pyarrow.compute as pc
@@ -152,9 +171,9 @@ def estimate_group_count(ds: "ray.data.Dataset", keys: List[str],
     """Distinct-group estimate in ONE streaming pass with NO shuffle.
 
     Per-batch HLL sketches of the composite key hash (one ~16 KB row per
-    batch) merge on the driver — the planning primitive for choosing the
-    grouped exchange strategy / pre-sizing a shuffle ("Every Row Counts",
-    CIDR 2019 motivates sketch-based group-by estimates).
+    batch) merge on the driver — the planning primitive for choosing a
+    broadcast or a shuffle plan / pre-sizing a shuffle ("Every Row
+    Counts", CIDR 2019 motivates sketch-based group-by estimates).
     """
     from ..functions.sketches import HyperLogLog
 
@@ -170,90 +189,30 @@ def estimate_group_count(ds: "ray.data.Dataset", keys: List[str],
     return merged.estimate() if blobs else 0.0
 
 
-#: group-cardinality above which "auto" picks the hashed exchange — the
-#: measured crossover is where shuffling key strings dominates (BASELINE.md
-#: puts it far beyond bench scale; the default is deliberately high so
-#: small/medium runs keep the pipelined keys strategy)
-AUTO_HASHED_GROUPS = 50_000_000
-
-
 def evaluate_grouped(
     ds: "ray.data.Dataset",
     spec: CompiledSpec,
     id_types: Optional[List[pa.DataType]] = None,
-    strategy: str = "keys",
-    auto_hashed_groups: float = AUTO_HASHED_GROUPS,
 ) -> List["ray.data.Dataset"]:
     """Run every grouped constraint; returns one violations Dataset each.
 
-    Two exchange strategies (measured trade-off, see BASELINE.md):
-
-    - ``"keys"`` (default): lazy pre-aggregated groupby on the key columns.
-      Stays fully pipelined with the row-local scan (they execute
-      concurrently inside one streaming execution) — fastest up to the
-      point where shuffling the key strings dominates.
-    - ``"hashed"``: the all-to-all moves one (64-bit key hash carried as
-      its int64 view — Ray's shuffle pickles out-of-range uint64 — plus an
-      int64 partial count) pair per (group, batch) — never key strings —
-      then ONE broadcast-filtered scan recovers the key tuples of the
-      (rare by design) violating groups.  ~6× fewer shuffle bytes for
-      string keys; costs an execution barrier + a second input scan, so it
-      wins only when the exchange itself is the bottleneck (10^9+ groups).
-    - ``"auto"``: plans per constraint from a one-pass NO-shuffle HLL
-      group-cardinality estimate (:func:`estimate_group_count` over the
-      pruned key columns — the CIDR'19 sketch-planning pattern): hashed
-      iff the estimate exceeds ``auto_hashed_groups``.  The planning pass
-      costs one scan of the key columns; at scale that is small against
-      the exchange it can shrink ~6×.
+    MaxCount/MinCount run the pre-aggregated key exchange
+    (:func:`group_counts`): a lazy groupby on the key columns that stays
+    fully pipelined with the row-local scan (they execute concurrently
+    inside one streaming execution).  GroupedSparql constraints follow,
+    each in its own :func:`_evaluate_grouped_sparql` pass.
     """
     from ..spec import GroupedSparql
 
-    sparql = [cc for cc in spec.grouped
-              if isinstance(cc.constraint, GroupedSparql)]
-    if sparql:
-        counts_only = CompiledSpec(
-            row_local=[], referential=[],
-            grouped=[cc for cc in spec.grouped if cc not in sparql],
-            id_columns=spec.id_columns, focus_template=spec.focus_template,
-        )
-        out = evaluate_grouped(ds, counts_only, id_types, strategy,
-                               auto_hashed_groups) if counts_only.grouped else []
-        for cc in sparql:
-            out.append(_evaluate_grouped_sparql(ds, cc, spec, id_types))
-        return out
-    if strategy == "keys":
-        return _evaluate_grouped_keys(ds, spec, id_types)
-    if strategy == "hashed":
-        return _evaluate_grouped_hashed(ds, spec, id_types)
-    if strategy != "auto":
-        raise ValueError(f"unknown grouped strategy {strategy!r}")
-    results: List["ray.data.Dataset"] = []
-    for cc in spec.grouped:
-        keys = list(cc.constraint.group_by)
-        est = estimate_group_count(ds.select_columns(keys), keys)
-        sub = CompiledSpec(
-            row_local=[], grouped=[cc], referential=[],
-            id_columns=spec.id_columns,
-            focus_template=spec.focus_template,
-        )
-        impl = (_evaluate_grouped_hashed if est > auto_hashed_groups
-                else _evaluate_grouped_keys)
-        results += impl(ds, sub, id_types)
-    return results
-
-
-def _evaluate_grouped_keys(
-    ds: "ray.data.Dataset",
-    spec: CompiledSpec,
-    id_types: Optional[List[pa.DataType]] = None,
-) -> List["ray.data.Dataset"]:
-    if id_types is None:
-        sch = ds.schema()
-        tmap = dict(zip(sch.names, sch.types))
-        id_types = [tmap[c] for c in spec.id_columns]
-    results = []
-    for cc in spec.grouped:
+    id_types = _id_types(ds, spec, id_types)
+    out = []
+    # stable: cardinality checks first, then GroupedSparql
+    for cc in sorted(spec.grouped,
+                     key=lambda cc: isinstance(cc.constraint, GroupedSparql)):
         c = cc.constraint
+        if isinstance(c, GroupedSparql):
+            out.append(_evaluate_grouped_sparql(ds, cc, spec, id_types))
+            continue
         keys = list(c.group_by)
         counts = group_counts(ds, keys,
                               c.column if c.column not in keys else None)
@@ -263,12 +222,8 @@ def _evaluate_grouped_keys(
             bad = counts.filter(expr=f"actual_count < {int(c.min_count)}")
         else:  # pragma: no cover
             raise TypeError(f"not a grouped constraint: {c}")
-
-        def to_rows(batch: pa.Table, cc=cc, keys=keys) -> pa.Table:
-            return _grouped_violation_rows(batch, cc, keys, spec, id_types)
-
-        results.append(bad.map_batches(to_rows, batch_format="pyarrow"))
-    return results
+        out.append(_violations_of(bad, cc, keys, spec, id_types))
+    return out
 
 
 def _evaluate_grouped_sparql(
@@ -292,10 +247,7 @@ def _evaluate_grouped_sparql(
     Python.  ``force_map_groups=True`` keeps such a constraint on the
     per-group path (via the predicate's derived fn) — the path-parity
     forcing knob, test-only."""
-    if id_types is None:
-        sch0 = ds.schema()
-        tmap0 = dict(zip(sch0.names, sch0.types))
-        id_types = [tmap0[c] for c in spec.id_columns]
+    id_types = _id_types(ds, spec, id_types)
     c = cc.constraint
     if getattr(c, "predicate", None) is not None and not force_map_groups:
         return _evaluate_grouped_sparql_vectorized(ds, cc, spec, id_types)
@@ -342,10 +294,7 @@ def _evaluate_grouped_sparql(
 
     bad = sub.groupby(keys).map_groups(per_group, batch_format="pyarrow")
 
-    def to_rows(batch: pa.Table, cc=cc, keys=keys) -> pa.Table:
-        return _grouped_violation_rows(batch, cc, keys, spec, id_types)
-
-    return bad.map_batches(to_rows, batch_format="pyarrow")
+    return _violations_of(bad, cc, keys, spec, id_types)
 
 
 def _sparql_value_cols(c) -> List[str]:
@@ -515,216 +464,7 @@ def _evaluate_grouped_sparql_vectorized(
            .groupby("__bucket__")
            .map_groups(bucket_sweep, batch_format="pyarrow"))
 
-    def to_rows(batch: pa.Table, cc=cc, keys=keys) -> pa.Table:
-        return _grouped_violation_rows(batch, cc, keys, spec, id_types)
-
-    return bad.map_batches(to_rows, batch_format="pyarrow")
-
-
-#: violating-hash broadcast bound for the hashed strategy: ~8 MB of
-#: int64 hash values; past this the join-recovery path takes over (the
-#: "violations are rare by design" assumption no longer holds)
-HASHED_BROADCAST_LIMIT = 1_000_000
-
-
-def _recover_violations_join(ds, bad, n_bad, cc, keys, spec, id_types):
-    """Key recovery for huge violating sets — ONE co-partitioned shuffle,
-    violations stream out of the bucket tasks:
-
-    - the input scan is PRUNED to the key columns, per-batch distinct
-      (keys, kh) pairs are Bloom-prefiltered to ~violating groups before
-      the exchange (≤ fp_rate false positives, dropped exactly in-bucket);
-    - both sides ship with the SAME column layout (no mixed-schema
-      frames, no pandas-merge suffix collisions with user column names);
-    - equal-kh rows land in one bucket, so per-group dedup + violation-row
-      construction happen in the bucket task — no second shuffle, no
-      per-group Python UDF calls;
-    - bucket count scales with the violating-set size so per-task frames
-      stay bounded."""
-    import ray as _ray
-
-    from ..functions.sketches import BloomFilter, hash64
-
-    if "__kh__" in keys or "__side__" in keys:
-        raise ValueError("group_by keys may not be named __kh__/__side__")
-    n_buckets = int(max(64, min(4096, n_bad // 50_000 + 1)))
-
-    sch = ds.schema()
-    key_types = [dict(zip(sch.names, sch.types))[k] for k in keys]
-
-    # Bloom of the violating hashes (~1.2 MB per million at 1% fp):
-    # prunes the all-groups left side down to ~violating before shuffling
-    bloom = BloomFilter(n_items=max(1024, n_bad), fp_rate=0.01)
-    for blk in bad.iter_batches(batch_format="pyarrow", batch_size=None):
-        # int64 hashes go straight into the vectorized hasher — building
-        # a Python str per value here cost more than the probe itself
-        bloom.add(np.asarray(blk["kh"], dtype=np.int64))
-    bloom_ref = _ray.put(bloom)
-
-    def lhs_rows(b: pa.Table) -> pa.Table:
-        f = _ray.get(bloom_ref)
-        t = b.select(keys).append_column(
-            "__kh__", pa.array(_key_hashes(b, keys).view(np.int64)))
-        t = t.group_by(keys + ["__kh__"]).aggregate([])
-        keep = f.might_contain(np.asarray(t["__kh__"], dtype=np.int64))
-        t = t.filter(pa.array(keep))
-        return t.append_column(
-            "__cnt__", pa.nulls(t.num_rows, pa.int64())).append_column(
-            "__side__", pa.array(np.repeat("l", t.num_rows))).append_column(
-            "__bucket__", pa.array(
-                (hash64(np.asarray(t["__kh__"], dtype=np.int64)) % n_buckets
-                 ).astype(np.int32)))
-
-    def rhs_rows(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        kh = pc.cast(b["kh"], pa.int64())
-        cols = {k: pa.nulls(len(b), t) for k, t in zip(keys, key_types)}
-        cols["__kh__"] = kh
-        cols["__cnt__"] = pc.cast(b["actual_count"], pa.int64())
-        cols["__side__"] = pa.array(np.repeat("r", len(b)))
-        cols["__bucket__"] = pa.array(
-            (hash64(np.asarray(kh, dtype=np.int64)) % n_buckets).astype(np.int32))
-        return pa.table(cols)
-
-    lhs = ds.select_columns(keys).map_batches(lhs_rows,
-                                              batch_format="pyarrow")
-    rhs = bad.map_batches(rhs_rows, batch_format="pyarrow")
-    empty_viol = violations_schema(spec.id_columns, id_types).empty_table()
-
-    def bucket_violations(g: pa.Table) -> pa.Table:
-        # pure-Arrow bucket task: a pandas frame would NaN-fill the rhs's
-        # null key columns and upcast int64 keys to float64, corrupting
-        # keys >= 2^53 and changing output dtypes vs the other strategies
-        import pyarrow.compute as pc
-
-        is_r = pc.equal(g["__side__"], "r")
-        rhs_g = g.filter(is_r)
-        cmap = dict(zip(rhs_g["__kh__"].to_pylist(),
-                        rhs_g["__cnt__"].to_pylist()))
-        lhs_g = g.filter(pc.invert(is_r))
-        if lhs_g.num_rows == 0 or not cmap:
-            return empty_viol
-        keep = pc.is_in(lhs_g["__kh__"], value_set=pa.array(
-            sorted(cmap), pa.int64()))  # drops Bloom fps exactly
-        lhs_g = lhs_g.filter(keep)
-        if lhs_g.num_rows == 0:
-            return empty_viol
-        lhs_g = lhs_g.group_by(["__kh__"] + keys).aggregate([])  # dedupe
-        groups_tbl = lhs_g.select(keys).append_column(
-            "actual_count",
-            pa.array([int(cmap[k]) for k in lhs_g["__kh__"].to_pylist()],
-                     pa.int64()))
-        return _grouped_violation_rows(groups_tbl, cc, keys, spec,
-                                       id_types)
-
-    return lhs.union(rhs).groupby("__bucket__").map_groups(
-        bucket_violations, batch_format="pyarrow")
-
-
-def _evaluate_grouped_hashed(
-    ds: "ray.data.Dataset",
-    spec: CompiledSpec,
-    id_types: Optional[List[pa.DataType]] = None,
-) -> List["ray.data.Dataset"]:
-    import ray as _ray
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    if id_types is None:
-        sch = ds.schema()
-        tmap = dict(zip(sch.names, sch.types))
-        id_types = [tmap[c] for c in spec.id_columns]
-    results = []
-    for cc in spec.grouped:
-        c = cc.constraint
-        keys = list(c.group_by)
-        value_col = c.column if c.column and c.column not in keys else None
-        proj = keys + ([value_col] if value_col else [])
-
-        def partial_hashed(b: pa.Table, keys=keys, value_col=value_col,
-                           proj=proj) -> pa.Table:
-            import pyarrow.compute as pc
-
-            b = b.select(proj)
-            kh = _key_hashes(b, keys)
-            if value_col:
-                cnt = np.asarray(
-                    pc.is_valid(b[value_col]).combine_chunks()
-                    if isinstance(b[value_col], pa.ChunkedArray)
-                    else pc.is_valid(b[value_col])
-                ).astype(np.int64)
-            else:
-                cnt = np.ones(len(b), dtype=np.int64)
-            # int64 VIEW of the uint64 hash: Ray's shuffle pickles
-            # uint64 values past int64 range into object extension
-            # arrays (slow + opaque); the reinterpretation is lossless
-            t = pa.table({"kh": pa.array(kh.view(np.int64)),
-                          "partial_n": pa.array(cnt)})
-            g = t.group_by(["kh"]).aggregate([("partial_n", "sum")])
-            return agg_select(g, {"kh": "kh",
-                                  "partial_n_sum": "partial_n"})
-
-        counts = ds.map_batches(partial_hashed, batch_format="pyarrow") \
-            .groupby("kh").aggregate(Sum("partial_n", alias_name="actual_count"))
-        if isinstance(c, MaxCount):
-            bad = counts.filter(expr=f"actual_count > {int(c.max_count)}")
-        elif isinstance(c, MinCount):
-            bad = counts.filter(expr=f"actual_count < {int(c.min_count)}")
-        else:  # pragma: no cover
-            raise TypeError(f"not a grouped constraint: {c}")
-
-        # pin the (tiny) violating-hash table once: count + consumption
-        # must not re-run the counting scan+shuffle
-        bad = bad.materialize()
-        n_bad = bad.count()
-        if n_bad == 0:
-            results.append(
-                rd.from_arrow(
-                    violations_schema(spec.id_columns, id_types).empty_table())
-            )
-            continue
-        if n_bad > HASHED_BROADCAST_LIMIT:
-            # pathological spec where MOST groups violate: the broadcast
-            # set no longer fits — recover keys with a bucketed hash join
-            # instead (streaming, no driver materialization)
-            results.append(_recover_violations_join(
-                ds, bad, n_bad, cc, keys, spec, id_types))
-            continue
-
-        # violating groups are small by design: collect (hash -> count),
-        # broadcast, and recover the key tuples with one filtered scan
-        bad_rows = bad.take_all()
-        count_map = {int(r["kh"]): int(r["actual_count"])
-                     for r in bad_rows}
-        bad_set_ref = _ray.put(
-            pa.array(np.array(sorted(count_map), dtype=np.int64)))
-
-        def recover_keys(b: pa.Table, keys=keys) -> pa.Table:
-            import pyarrow.compute as pc
-
-            kh = pa.array(_key_hashes(b, keys).view(np.int64))
-            mask = pc.is_in(kh, value_set=_ray.get(bad_set_ref))
-            t = b.select(keys).append_column("kh", kh).filter(mask)
-            return t.group_by(keys + ["kh"]).aggregate([])
-
-        groups_tbl = pa.concat_tables(
-            [b for b in ds.map_batches(recover_keys, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)]
-        )
-        # dedupe across batches, attach counts
-        groups_tbl = groups_tbl.group_by(keys + ["kh"]).aggregate([])
-        actual = pa.array(
-            [count_map[int(h)] for h in groups_tbl["kh"].to_pylist()],
-            pa.int64(),
-        )
-        groups_tbl = groups_tbl.drop_columns(["kh"]).append_column(
-            "actual_count", actual)
-
-        viol_rows = _grouped_violation_rows(groups_tbl, cc, keys, spec,
-                                            id_types)
-        results.append(rd.from_arrow(viol_rows))
-    return results
+    return _violations_of(bad, cc, keys, spec, id_types)
 
 
 # ---------------------------------------------------------------------------
@@ -816,10 +556,7 @@ def evaluate_sibling_join(
 
     c = cc.constraint
     keys = list(c.group_by)
-    if id_types is None:
-        sch0 = ds.schema()
-        tmap0 = dict(zip(sch0.names, sch0.types))
-        id_types = [tmap0[col] for col in spec.id_columns]
+    id_types = _id_types(ds, spec, id_types)
 
     pair_schema = pa.schema([
         ("lo", pa.string()), ("hi", pa.string()),
@@ -887,10 +624,7 @@ def evaluate_sibling_join(
     bad = viol_pairs.groupby("subject").map_groups(
         dedupe, batch_format="pyarrow")
 
-    def to_rows(batch: pa.Table, cc=cc, keys=keys) -> pa.Table:
-        return _grouped_violation_rows(batch, cc, keys, spec, id_types)
-
-    return bad.map_batches(to_rows, batch_format="pyarrow")
+    return _violations_of(bad, cc, keys, spec, id_types)
 
 
 def evaluate_node_isolation(
@@ -911,39 +645,12 @@ def evaluate_node_isolation(
     (subject, predicate, object) rows (NOT EXISTS consults every
     triple)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max
 
     c = cc.constraint
-    keys = list(c.group_by)
-    if id_types is None:
-        sch0 = ds.schema()
-        tmap0 = dict(zip(sch0.names, sch0.types))
-        id_types = [tmap0[col] for col in spec.id_columns]
-
-    node_schema = pa.schema([("node", pa.string()),
-                             ("n_rows", pa.int64()),
-                             ("is_witness", pa.int64())])
     out_pred = pa.array(sorted(set(c.outgoing)), pa.string())
     in_pred = pa.array(sorted(set(c.incoming)), pa.string())
 
-    def cand_rows(b: pa.Table) -> pa.Table:
-        # per-batch combiner: one (node, partial_count) row per subject
-        agg = b.select(["subject"]).group_by(["subject"]).aggregate(
-            [([], "count_all")])
-        k = agg.num_rows
-        return pa.table(
-            {"node": agg["subject"],
-             "n_rows": pc.cast(agg["count_all"], pa.int64()),
-             "is_witness": pa.array([0] * k, pa.int64())},
-            schema=node_schema)
-
-    cand = ds.select_columns(["subject"]).map_batches(
-        cand_rows, batch_format="pyarrow")
-
-    if isinstance(full, pa.Table):
-        full = ray.data.from_arrow(full)
-
-    def witness_rows(b: pa.Table) -> pa.Table:
+    def witness_nodes(b: pa.Table) -> pa.Array:
         parts = []
         if len(out_pred):
             m = pc.is_in(b["predicate"], value_set=out_pred)
@@ -951,37 +658,13 @@ def evaluate_node_isolation(
         if len(in_pred):
             m = pc.is_in(b["predicate"], value_set=in_pred)
             parts.append(b.filter(pc.fill_null(m, False))["object"])
-        nodes = pa.concat_arrays(
+        return pa.concat_arrays(
             [p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p
              for p in parts]) if parts else pa.array([], pa.string())
-        nodes = pc.drop_null(nodes)
-        # batch-local dedup: the groupby needs one witness per node, not
-        # one per occurrence — shrinks the exchange on dense graphs
-        nodes = pc.unique(nodes)
-        k = len(nodes)
-        return pa.table(
-            {"node": nodes, "n_rows": pa.array([0] * k, pa.int64()),
-             "is_witness": pa.array([1] * k, pa.int64())},
-            schema=node_schema)
 
-    wit = full.select_columns(["subject", "predicate", "object"]) \
-        .map_batches(witness_rows, batch_format="pyarrow")
-
-    from ray.data.aggregate import Sum
-
-    agg = (cand.union(wit).groupby("node")
-           .aggregate(Max("is_witness", alias_name="w"),
-                      Sum("n_rows", alias_name="actual_count")))
-    bad = agg.filter(expr="w == 0 and actual_count > 0").map_batches(
-        lambda b: pa.table({"subject": b["node"],
-                            "actual_count": pc.cast(b["actual_count"],
-                                                    pa.int64())}),
-        batch_format="pyarrow")
-
-    def to_rows(batch: pa.Table, cc=cc, keys=keys) -> pa.Table:
-        return _grouped_violation_rows(batch, cc, keys, spec, id_types)
-
-    return bad.map_batches(to_rows, batch_format="pyarrow")
+    return _focus_witness_groupby(
+        ds, full, ["subject", "predicate", "object"], witness_nodes,
+        cc, spec, id_types, violate_on_witness=False)
 
 
 def evaluate_membership(
@@ -998,20 +681,46 @@ def evaluate_membership(
     scope cycle membership back to the shape's target class.  One
     vectorized groupby; no broadcast, no per-group Python."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Sum
 
-    c = cc.constraint
-    keys = list(c.group_by)
-    if id_types is None:
-        sch0 = ds.schema()
-        tmap0 = dict(zip(sch0.names, sch0.types))
-        id_types = [tmap0[col] for col in spec.id_columns]
+    def member_nodes(b: pa.Table) -> pa.Array:
+        nodes = b["node"]
+        if isinstance(nodes, pa.ChunkedArray):
+            nodes = nodes.combine_chunks()
+        if not pa.types.is_string(nodes.type) and not \
+                pa.types.is_large_string(nodes.type):
+            nodes = pc.cast(nodes, pa.string())
+        return nodes
 
+    return _focus_witness_groupby(ds, members, ["node"], member_nodes,
+                                  cc, spec, id_types, violate_on_witness=True)
+
+
+def _focus_witness_groupby(
+    ds: "ray.data.Dataset",
+    witnesses,
+    witness_cols: List[str],
+    witness_nodes,
+    cc: CompiledConstraint,
+    spec: CompiledSpec,
+    id_types: Optional[List[pa.DataType]],
+    violate_on_witness: bool,
+) -> "ray.data.Dataset":
+    """Shared plan of :func:`evaluate_node_isolation` and
+    :func:`evaluate_membership`: one slim ``(node, partial_count)`` row
+    per focus subject per batch, union one row per witness node
+    (``witness_nodes(batch)`` over ``witnesses`` pruned to
+    ``witness_cols``), through ONE ``groupby("node")``.  A focus node
+    violates iff it has a witness (``violate_on_witness``) or has none."""
+    import pyarrow.compute as pc
+    from ray.data.aggregate import Max
+
+    id_types = _id_types(ds, spec, id_types)
     node_schema = pa.schema([("node", pa.string()),
                              ("n_rows", pa.int64()),
                              ("is_witness", pa.int64())])
 
     def cand_rows(b: pa.Table) -> pa.Table:
+        # per-batch combiner: one (node, partial_count) row per subject
         agg = b.select(["subject"]).group_by(["subject"]).aggregate(
             [([], "count_all")])
         k = agg.num_rows
@@ -1021,37 +730,31 @@ def evaluate_membership(
              "is_witness": pa.array([0] * k, pa.int64())},
             schema=node_schema)
 
-    cand = ds.select_columns(["subject"]).map_batches(
-        cand_rows, batch_format="pyarrow")
-
-    if isinstance(members, pa.Table):
-        members = ray.data.from_arrow(members)
-
-    def member_rows(b: pa.Table) -> pa.Table:
-        nodes = b["node"]
-        if not pa.types.is_string(nodes.type) and not \
-                pa.types.is_large_string(nodes.type):
-            nodes = pc.cast(nodes, pa.string())
-        nodes = pc.drop_null(
-            nodes.combine_chunks() if isinstance(nodes, pa.ChunkedArray)
-            else nodes)
+    def witness_rows(b: pa.Table) -> pa.Table:
+        # batch-local dedup: the groupby needs one witness per node, not
+        # one per occurrence — shrinks the exchange on dense graphs
+        nodes = pc.unique(pc.drop_null(witness_nodes(b)))
         k = len(nodes)
         return pa.table(
             {"node": nodes, "n_rows": pa.array([0] * k, pa.int64()),
              "is_witness": pa.array([1] * k, pa.int64())},
             schema=node_schema)
 
-    wit = members.map_batches(member_rows, batch_format="pyarrow")
+    if isinstance(witnesses, pa.Table):
+        witnesses = ray.data.from_arrow(witnesses)
+    cand = ds.select_columns(["subject"]).map_batches(
+        cand_rows, batch_format="pyarrow")
+    wit = witnesses.select_columns(witness_cols).map_batches(
+        witness_rows, batch_format="pyarrow")
     agg = (cand.union(wit).groupby("node")
            .aggregate(Max("is_witness", alias_name="w"),
                       Sum("n_rows", alias_name="actual_count")))
-    bad = agg.filter(expr="w == 1 and actual_count > 0").map_batches(
+    bad = agg.filter(
+        expr=f"w == {int(violate_on_witness)} and actual_count > 0"
+    ).map_batches(
         lambda b: pa.table({"subject": b["node"],
                             "actual_count": pc.cast(b["actual_count"],
                                                     pa.int64())}),
         batch_format="pyarrow")
-
-    def to_rows(batch: pa.Table, cc=cc, keys=keys) -> pa.Table:
-        return _grouped_violation_rows(batch, cc, keys, spec, id_types)
-
-    return bad.map_batches(to_rows, batch_format="pyarrow")
+    return _violations_of(bad, cc, list(cc.constraint.group_by), spec,
+                          id_types)

@@ -159,7 +159,9 @@ def sample_ranges(track: Dict) -> List[Tuple[int, int]]:
     ranges: List[Tuple[int, int]] = []
     si = 0
     for ci in range(1, len(chunks) + 1):
-        spc = next(s for fc, s in reversed(stsc) if fc <= ci)
+        spc = next((s for fc, s in reversed(stsc) if fc <= ci), None)
+        if spc is None:
+            raise ValueError(f"stsc has no entry covering chunk {ci}")
         off = chunks[ci - 1]
         for _ in range(spc):
             if si >= len(sizes):

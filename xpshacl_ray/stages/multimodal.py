@@ -53,8 +53,10 @@ from __future__ import annotations
 
 import hashlib
 import io
+import re
 import struct
 import wave
+import zlib
 from typing import Optional, Tuple
 
 import numpy as np
@@ -117,12 +119,11 @@ def decode_ppm(payload: bytes) -> np.ndarray:
     else:
         w, h, maxval = fields
     n_vals = w * h * nch
-    if kind in (1, 2, 3):  # ASCII variants
-        toks = payload[pos - 1:].split()
+    if kind in (1, 2, 3):  # ASCII variants; comments run to end of line
+        toks = re.sub(rb"#[^\n]*", b"", payload[pos - 1:]).split()
         if kind == 1:
             # P1 allows unseparated digits ("0110")
-            toks = [c for t in toks if not t.startswith(b"#")
-                    for c in t.decode("ascii", "replace")]
+            toks = [c for t in toks for c in t.decode("ascii", "replace")]
             vals = np.array([int(c) for c in toks[:n_vals]], np.uint32)
         else:
             vals = np.array([int(t) for t in toks[:n_vals]], np.uint32)
@@ -859,7 +860,7 @@ class MediaDecoder:
                     valid.append(True)
                 except (ValueError, NotImplementedError, KeyError,
                         IndexError, EOFError, struct.error, wave.Error,
-                        OSError):
+                        OSError, zlib.error):
                     feats.append(np.zeros(self.FEATURE_DIM))
                     valid.append(False)
             else:
@@ -1281,7 +1282,7 @@ class AudioSpectral:
         for mid, mime, payload in zip(batch["media_id"].to_pylist(),
                                       batch["mime"].to_pylist(),
                                       batch["payload"].to_pylist()):
-            if not mime.startswith("audio"):
+            if mime not in _DECODABLE_AUDIO:  # non-audio or undecodable
                 continue
             x, rate = _DECODABLE_AUDIO[mime](payload)
             ids.append(mid)
@@ -1530,7 +1531,7 @@ class AudioFingerprint:
         for mid, mime, payload in zip(batch["media_id"].to_pylist(),
                                       batch["mime"].to_pylist(),
                                       batch["payload"].to_pylist()):
-            if not mime.startswith("audio"):
+            if mime not in _DECODABLE_AUDIO:  # non-audio or undecodable
                 continue
             x, rate = _DECODABLE_AUDIO[mime](payload)
             ids.append(mid)

@@ -7,24 +7,23 @@ via ``ray.put`` (zero-copy Arrow in the object store), then a vectorized
 fact table streams while the dimension-key set is read from shared memory by
 every task on a node.
 
-For dimension sides too big to broadcast, callers can pass a pre-bucketed
-key set per partition or fall back to a partitioned hash join (see
-``xpshacl_ray.functions.joins``).
+There is no separate referential stage: ``ValidationEngine.validate`` fuses
+:class:`_RefMask` into the row-local scan, so the probe costs no extra pass
+over the input.  This module builds what gets broadcast — the exact key set
+(:func:`distinct_keys`, :func:`conforming_keys`) or, for dimension sides too
+big to ship exactly, a Bloom filter (:func:`bloom_keys`,
+:func:`conforming_bloom`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List
+from dataclasses import dataclass
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 import ray.data
-
-from ..spec import CompiledSpec
-from .evaluate import evaluate_row_local
 
 
 def distinct_keys(ref_ds: "ray.data.Dataset", column: str) -> pa.Array:
@@ -137,90 +136,37 @@ def conforming_bloom(dim_ds: "ray.data.Dataset", key_column: str,
     when even the CONFORMING key set is too large to broadcast exactly
     (same trade-off as :func:`bloom_keys`: a Bloom "absent" is a
     certain violation, up to ``fp_rate`` of true violations are
-    missed; one-sided, quantified).  One streamed pass, per-batch
-    partial filters OR-merge on the driver — no distinct exchange at
-    all."""
-    from ..functions.sketches import BloomFilter
-
+    missed; one-sided, quantified)."""
     flt = _conforming_filter(key_column, constraints)
-
-    def partial(b: pa.Table) -> pa.Table:
-        f = BloomFilter(n_items=expected_items, fp_rate=fp_rate)
-        keys = flt(b)[key_column]
-        s = pc.cast(keys, pa.string())
-        if isinstance(s, pa.ChunkedArray):
-            s = s.combine_chunks()
-        f.add(s.drop_null().to_numpy(zero_copy_only=False))
-        return pa.table({"bloom": pa.array([f.to_bytes()], pa.binary())})
-
-    blobs = dim_ds.map_batches(partial, batch_format="pyarrow").take_all()
-    out = None
-    for r in blobs:
-        f = BloomFilter.from_bytes(r["bloom"])
-        out = f if out is None else out.merge(f)
-    return out if out is not None else BloomFilter(n_items=expected_items,
-                                                   fp_rate=fp_rate)
+    return _merged_bloom(dim_ds, lambda b: flt(b)[key_column],
+                         expected_items, fp_rate)
 
 
 def bloom_keys(ref_ds: "ray.data.Dataset", column: str,
                expected_items: int, fp_rate: float = 0.01):
-    """Mergeable Bloom filter of the referenced key set (one pass, no
-    distinct shuffle: per-batch partial filters OR-merge on the driver)."""
+    """Mergeable Bloom filter of the referenced key set."""
+    return _merged_bloom(ref_ds.select_columns([column]),
+                         lambda b: b[column], expected_items, fp_rate)
+
+
+def _merged_bloom(ds: "ray.data.Dataset", keys_of, expected_items: int,
+                  fp_rate: float):
+    """Bloom filter of ``keys_of(batch)`` over every batch in one
+    streamed pass, no distinct exchange: per-batch partial filters
+    OR-merge on the driver."""
     from ..functions.sketches import BloomFilter
 
     def partial(b: pa.Table) -> pa.Table:
         f = BloomFilter(n_items=expected_items, fp_rate=fp_rate)
         # Arrow cast-to-string rendering — must match the probe side
         # (_RefMask) exactly; both are vectorized, no per-value str()
-        s = pc.cast(b[column], pa.string())
+        s = pc.cast(keys_of(b), pa.string())
         if isinstance(s, pa.ChunkedArray):
             s = s.combine_chunks()
         f.add(s.drop_null().to_numpy(zero_copy_only=False))
         return pa.table({"bloom": pa.array([f.to_bytes()], pa.binary())})
 
-    blobs = ref_ds.select_columns([column]).map_batches(
-        partial, batch_format="pyarrow"
-    ).take_all()
-    out = None
-    for r in blobs:
-        f = BloomFilter.from_bytes(r["bloom"])
-        out = f if out is None else out.merge(f)
-    return out if out is not None else BloomFilter(n_items=expected_items,
-                                                   fp_rate=fp_rate)
-
-
-def evaluate_referential(
-    ds: "ray.data.Dataset",
-    spec: CompiledSpec,
-    ref_keys: dict,
-) -> List["ray.data.Dataset"]:
-    """Run every referential constraint as a broadcast anti-join stage.
-
-    ``ref_keys`` maps constraint ``column`` → pa.Array | ray.ObjectRef of
-    the allowed key set (call :func:`distinct_keys` to build one).
-    """
-    results = []
-    for cc in spec.referential:
-        c = cc.constraint
-        keys = ref_keys[c.column]
-        keys_ref = keys if isinstance(keys, ray.ObjectRef) else ray.put(keys)
-        adapter = _RefMask(
-            column=c.column,
-            keys_ref=keys_ref,
-            null_is_violation=getattr(c, "null_is_violation", False),
-        )
-        wrapped = replace(cc, constraint=adapter)  # reuse the fused emitter
-        sub = CompiledSpec(
-            row_local=[wrapped],
-            grouped=[],
-            referential=[],
-            id_columns=spec.id_columns,
-            focus_template=spec.focus_template,
-        )
-        results.append(
-            ds.map_batches(
-                lambda b, sub=sub: evaluate_row_local(b, sub),
-                batch_format="pyarrow",
-            )
-        )
-    return results
+    out = BloomFilter(n_items=expected_items, fp_rate=fp_rate)
+    for r in ds.map_batches(partial, batch_format="pyarrow").take_all():
+        out.merge(BloomFilter.from_bytes(r["bloom"]))
+    return out

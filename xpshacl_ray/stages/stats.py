@@ -204,9 +204,11 @@ def sketch_rows(
     )
     merge = lambda g: _merge_partials(g, cfg)  # noqa: E731
     if cfg.salt_buckets > 0:
-        # level 1: spread each hot group over salt buckets
+        # level 1: spread each hot group over salt buckets — by row
+        # position in the partial batch, so the layout is deterministic
+        # (a key-hash salt would send a hot group to ONE bucket)
         def add_salt(b: pa.Table) -> pa.Table:
-            salt = np.random.randint(0, cfg.salt_buckets, size=len(b))
+            salt = np.arange(len(b), dtype=np.int32) % cfg.salt_buckets
             return b.append_column("__salt__", pa.array(salt, pa.int32()))
 
         salted = partials.map_batches(add_salt, batch_format="pyarrow")
