@@ -105,6 +105,52 @@ def test_run_ttl_explainable_end_to_end(tmp_path):
     assert (tmp_path / "out" / "report").exists()
 
 
+def test_run_ttl_on_inline_turtle(tmp_path):
+    from xpshacl_ray.sources.ttl import run_ttl
+
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text("""
+@prefix sh: <http://www.w3.org/ns/shacl#> .
+@prefix ex: <http://example.org/> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+
+ex:PersonShape a sh:NodeShape ;
+  sh:targetClass ex:Person ;
+  sh:property [ sh:path ex:hasName ; sh:minCount 1 ] ;
+  sh:property [ sh:path ex:hasAge ; sh:minInclusive 0 ] .
+""")
+    data = tmp_path / "data.ttl"
+    data.write_text("""
+@prefix ex: <http://example.org/> .
+
+ex:p1 a ex:Person ; ex:hasAge -20 .
+ex:p2 a ex:Person ; ex:hasAge 5 .
+ex:p3 a ex:Person ; ex:hasName "C" ; ex:hasAge -3 .
+ex:p4 a ex:Person ; ex:hasName "D" ; ex:hasAge 40 .
+""")
+    res = run_ttl(str(data), str(shapes), languages=["en", "de"],
+                  kg_path=str(tmp_path / "kg.parquet"),
+                  out_dir=str(tmp_path / "out"))
+    report = res["report"].to_pandas()
+    got = sorted(zip(report["focus_node"], report["constraint_id"]))
+    assert got == [(EX + "p1", SH + "MinCountConstraintComponent"),
+                   (EX + "p1", SH + "MinInclusiveConstraintComponent"),
+                   (EX + "p2", SH + "MinCountConstraintComponent"),
+                   (EX + "p3", SH + "MinInclusiveConstraintComponent")]
+    assert report["explanation_en"].notna().all()
+    assert report["explanation_de"].str.startswith("[de] ").all()
+    # one explanation row per (signature, language)
+    sigs = res["signatures"]
+    assert sigs.num_rows == 4
+    assert set(sigs["signature_key"].to_pylist()) == set(
+        report["signature_key"])
+    by_sig = {(r["signature_key"], r["language"]): r["explanation"]
+              for r in sigs.to_pylist()}
+    for _, r in report.iterrows():
+        assert by_sig[(r["signature_key"], "en")] == r["explanation_en"]
+    assert (tmp_path / "out" / "report").exists()
+
+
 def test_cli_validate_ttl(tmp_path, capsys):
     import json
 

@@ -150,7 +150,7 @@ def cmd_validate(args) -> int:
         res = engine.run(ds, ref_datasets=ref,
                          out_dir=os.path.join(args.out, "report"))
         summary.update(
-            n_violations=res["report"].count(),
+            n_violations=res["violations"].count(),
             n_signatures=res["signatures"].count(),
             kg_path=res["kg_path"],
         )

@@ -15,9 +15,10 @@ an rdflib KG saved once per run (``src/explanation_generator.py``,
   record per (signature, language) carries the same 9 payload fields the
   reference's 9-triple ledger stores (violation_kg.py:208-284, pinned by
   tests/test_violation_kg.py:44-62).
-- **ExplainerActor** is the stateful actor-pool stage (ST2): the cache
-  Parquet is loaded into a dict once per actor in ``__init__``; per batch it
-  probes the cache and generates misses.
+- **ExplainerActor** is the explain stage (ST2): the cache Parquet is
+  loaded into a dict once in ``__init__``; per table of unique signatures
+  it probes the cache and generates misses.  ``ValidationEngine.run``
+  builds one instance on the driver and calls it in process.
 """
 
 from __future__ import annotations
@@ -352,12 +353,15 @@ class ViolationKnowledgeGraph:
 
 
 class ExplainerActor:
-    """Actor-pool stage: per-(signature, lang) cache probe + template NLG.
+    """Explain stage: per-(signature, lang) cache probe + template NLG.
 
-    ``__init__`` (once per actor) loads the KG cache Parquet into a dict;
-    ``__call__`` (per batch of UNIQUE-signature rows) emits explanation rows
-    with a ``cache_hit`` flag — the per-signature-once semantics of the
-    reference's main loop (main.py:159-211).
+    ``__init__`` loads the KG cache Parquet into a dict once; ``__call__``
+    (per table of UNIQUE-signature rows) emits explanation rows with a
+    ``cache_hit`` flag — the per-signature-once semantics of the
+    reference's main loop (main.py:159-211) — and adds every miss to
+    ``self.kg``.  The signature table is small, so ``ValidationEngine.run``
+    calls one instance in the driver process; ``ValidationEngine.explain``
+    ships a driver-built instance to Ray tasks instead.
     """
 
     def __init__(self, kg_path: Optional[str] = None,

@@ -6,35 +6,94 @@ Engine equivalent of the reference's ``main.py`` lifecycle::
     viol  = ds.map_batches(evaluate_row_local)            # C1..C20 fused (E1)
             ∪ grouped checks (C1/C2/C11, shuffle #1)
             ∪ referential checks (C4, broadcast anti-join)
-    sigs  = viol.groupby(signature_key).first             # G2 exact dedup
-    sigs  = sigs.map_batches(tree + context)              # E2-E7, X1-X5
-    expl  = sigs.map_batches(ExplainerActor, concurrency) # G4/G5/N1-N3
+            .materialize()
+    sigs  = first_per_signature(∪ viol.map_batches(first_per_signature))
+                                                          # G2 exact dedup
+    sigs  = add_enrichment(sigs)                          # E2-E7, X1-X5
+    expl  = ExplainerActor(kg_path)(sigs)                 # G4/G5/N1-N3
     report= viol.map_batches(join_explanations(bcast))    # G8 fan-out join
     report.write_parquet(out); kg.save(kg_path)           # S3/S5
 
 The per-signature expensive work (trees, context, explanation) runs on the
 small deduped signature table — never per violation instance — exactly the
 reference's "first instance is representative" semantics (main.py:139-211).
+Only the per-block dedup runs as Ray tasks; it returns at most one row per
+signature and block, and the merge, enrichment and explanation of those
+few rows run in the driver process, with the KG cache loaded once there.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
 
 from ..context import ContextRetriever, DomainRule
-from ..explain import DEFAULT_MODEL, ExplainerActor, ViolationKnowledgeGraph
+from ..explain import DEFAULT_MODEL, ExplainerActor
 from ..justify import tree_json_for_row
+from ..model import VIOLATION_SCHEMA
 from ..spec import CompiledSpec, ValidationSpec, compile_spec
 from ..stages.evaluate import evaluate_row_local
 from ..stages.grouped import evaluate_grouped
 from ..stages.referential import _RefMask, distinct_keys
+
+
+def first_per_signature(batch: pa.Table) -> pa.Table:
+    """G2 kernel: the first row per ``signature_key`` in
+    (signature_key, focus_node, value) order, nulls last; the output is
+    in ``signature_key`` order.
+
+    The reference keeps the FIRST instance as representative
+    (main.py:164); streamed blocks have no first, so the order above
+    stands in for it.  The pick is the minimum of one fixed order, so the
+    kernel is associative: applied per block and once more over the
+    concatenated block outputs, it picks what one pass over every row
+    picks.  Rows equal on all three columns keep their input order.
+    """
+    if batch.num_rows == 0:
+        return batch
+    order = [(c, "ascending") for c in ("signature_key", "focus_node", "value")]
+    ordered = batch.take(pc.sort_indices(batch, sort_keys=order,
+                                         null_placement="at_end"))
+    firsts = (ordered.select(["signature_key"])
+              .append_column("pos", pa.array(range(ordered.num_rows),
+                                              pa.int64()))
+              .group_by("signature_key", use_threads=False)
+              .aggregate([("pos", "min")]))
+    return ordered.take(firsts["pos_min"])
+
+
+def unique_signature_table(violations: "ray.data.Dataset") -> pa.Table:
+    """:func:`first_per_signature` per block in Ray tasks, then once more
+    on the driver over the at most K rows each block returns."""
+    partials = ray.get(violations.map_batches(
+        first_per_signature, batch_format="pyarrow", batch_size=None,
+    ).to_arrow_refs())
+    tables = [t for t in partials if t.num_rows]
+    if tables:
+        return first_per_signature(pa.concat_tables(
+            tables, promote_options="default"))
+    # Ray drops the columns of empty blocks, and may lose the schema of
+    # a fully-empty dataset
+    sch = violations.schema(fetch_if_missing=True)
+    if sch is None or not sch.names:
+        return VIOLATION_SCHEMA.empty_table()
+    return pa.schema(list(zip(sch.names, sch.types))).empty_table()
+
+
+def add_enrichment(sigs: pa.Table, retriever: ContextRetriever) -> pa.Table:
+    """E2-E7 + X1-X5: justification tree and retrieved context per row."""
+    rows = sigs.to_pylist()
+    trees = [tree_json_for_row(r) for r in rows]
+    ctxs = [retriever.retrieve(r).to_json() for r in rows]
+    return sigs.append_column(
+        "justification_tree", pa.array(trees, pa.string())
+    ).append_column("retrieved_context", pa.array(ctxs, pa.string()))
 
 
 @dataclass
@@ -190,55 +249,45 @@ class ValidationEngine:
             files_per_partition=files_per_partition, fingerprint="stat",
         )
 
-    # -- signature dedup + enrichment -----------------------------------
+    # -- signature dedup + enrichment + explanation ----------------------
 
     def unique_signatures(self, violations: "ray.data.Dataset") -> "ray.data.Dataset":
-        """G2: one representative row per signature (shuffle on a tiny key).
-
-        The reference keeps the FIRST instance as representative
-        (main.py:164); with unordered streaming we keep the representative
-        with the smallest focus_node for determinism.
-        """
-
-        def first(group: pa.Table) -> pa.Table:
-            idx = pa.compute.sort_indices(
-                group, sort_keys=[("focus_node", "ascending")]
-            )
-            return group.take(idx[:1])
-
-        return violations.groupby("signature_key").map_groups(
-            first, batch_format="pyarrow"
-        )
+        """G2: one representative row per signature (see
+        :func:`first_per_signature`), as an in-memory Dataset."""
+        return ray.data.from_arrow(unique_signature_table(violations))
 
     def enrich(self, sigs: "ray.data.Dataset") -> "ray.data.Dataset":
         """E2-E7 + X1-X5 on the deduped signature table (small)."""
-        retriever = ContextRetriever(self.rules, self.spec_docs)
+        return sigs.map_batches(add_enrichment,
+                                fn_kwargs=dict(retriever=self._retriever()),
+                                batch_format="pyarrow")
 
-        def add_enrichment(batch: pa.Table) -> pa.Table:
-            rows = batch.to_pylist()
-            trees = [tree_json_for_row(r) for r in rows]
-            ctxs = [retriever.retrieve(r).to_json() for r in rows]
-            return batch.append_column(
-                "justification_tree", pa.array(trees, pa.string())
-            ).append_column("retrieved_context", pa.array(ctxs, pa.string()))
+    def explain(self, sigs: "ray.data.Dataset") -> "ray.data.Dataset":
+        """G4/G5/N1-N3: cache probe + template NLG per (signature, lang).
 
-        return sigs.map_batches(add_enrichment, batch_format="pyarrow")
+        The explainer and its KG cache are built once on the driver and
+        shipped to the tasks."""
+        return sigs.map_batches(self._explainer(), batch_format="pyarrow")
 
-    # -- explanation -----------------------------------------------------
+    def explained_signatures(self, violations: "ray.data.Dataset"):
+        """The signature tail of :meth:`run`: per-block dedup in Ray tasks,
+        then the merge, enrichment and explanation in this process.
 
-    def explain(self, sigs: "ray.data.Dataset",
-                concurrency: int = 2) -> "ray.data.Dataset":
-        """G4/G5/N1-N3: cache probe + template NLG per (signature, lang)."""
-        return sigs.map_batches(
-            ExplainerActor,
-            fn_constructor_kwargs=dict(
-                kg_path=self.kg_path,
-                languages=self.languages,
-                model_name=self.model_name,
-            ),
-            batch_format="pyarrow",
-            concurrency=concurrency,
-        )
+        Returns ``(signatures, explanations, kg)``: the enriched
+        signature table, one explanation row per (signature, language),
+        and the KG cache with this call's new explanations added.
+        """
+        sigs = add_enrichment(unique_signature_table(violations),
+                              self._retriever())
+        explainer = self._explainer()
+        return sigs, explainer(sigs), explainer.kg
+
+    def _retriever(self) -> ContextRetriever:
+        return ContextRetriever(self.rules, self.spec_docs)
+
+    def _explainer(self) -> ExplainerActor:
+        return ExplainerActor(kg_path=self.kg_path, languages=self.languages,
+                              model_name=self.model_name)
 
     # -- report reconstruction (G8) --------------------------------------
 
@@ -299,17 +348,9 @@ class ValidationEngine:
         # materialize once so the input pipeline executes exactly once —
         # the violations table is small relative to the input by design
         violations = self.validate(ds, ref_datasets=ref_datasets).materialize()
-        sigs = self.enrich(self.unique_signatures(violations))
-        expl_ds = self.explain(sigs)
-        expl_table = pa.Table.from_pylist(expl_ds.take_all())  # tiny
+        sigs, expl_table, kg = self.explained_signatures(violations)
         report = self.report(violations, expl_table)
-        kg_saved = None
-        if save_kg and self.kg_path:
-            kg = ViolationKnowledgeGraph(self.kg_path)
-            from ..explain import merge_kg_updates
-
-            merge_kg_updates(kg, expl_table)
-            kg_saved = kg.save()
+        kg_saved = kg.save() if save_kg and self.kg_path else None
         stats = None
         if stats_config is not None:
             from ..stages.stats import profile
@@ -346,7 +387,7 @@ class ValidationEngine:
             report.write_json(out_json)
         return {
             "violations": violations,
-            "signatures": sigs,
+            "signatures": ray.data.from_arrow(sigs),
             "explanations": expl_table,
             "report": report,
             "kg_path": kg_saved,

@@ -2825,12 +2825,10 @@ def run_ttl(
     validate → signature dedup → justification trees + context →
     (cached) explanations → report fan-out.
 
-    Returns a dict with ``violations``, ``signatures`` (enriched +
-    explained, one row per (signature, language)) and ``report`` (every
+    Returns a dict with ``violations``, ``signatures`` (the explanation
+    table, one row per (signature, language)) and ``report`` (every
     violation instance with ``explanation_<lang>`` columns fanned back
     on).  Writes partitioned Parquet under ``out_dir`` if given."""
-    import pyarrow as _pa
-
     from ..pipelines.validate import ValidationEngine
 
     data_triples, _ = load_turtle(data_path)
@@ -2840,15 +2838,13 @@ def run_ttl(
         raise ValueError("no applicable shapes/targets found")
     viol = validate_ttl(data_path, shapes_path,
                         long_form=long_form, sparql=sparql,
-                        sparql_impls=sparql_impls)
+                        sparql_impls=sparql_impls).materialize()
     # enrichment/explanation stages consume violation rows, not the spec —
     # any compiled engine drives them; reuse the first class's spec
     first_spec = specs[sorted(specs)[0]]
     eng = ValidationEngine(first_spec, kg_path=kg_path,
                            languages=list(languages))
-    sigs = eng.enrich(eng.unique_signatures(viol)).materialize()
-    expl = eng.explain(sigs)
-    expl_tbl = _pa.Table.from_pandas(expl.to_pandas())
+    _, expl_tbl, _ = eng.explained_signatures(viol)
     report = eng.report(viol, expl_tbl)
     if out_dir is not None:
         import os
