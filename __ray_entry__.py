@@ -38,7 +38,9 @@ from xpshacl_ray import (
     InSet,
     LessThan,
     LessThanOrEquals,
+    MaxCount,
     MaxLength,
+    MinCount,
     MinInclusive,
     MinLength,
     NodeKind,
@@ -74,7 +76,6 @@ from xpshacl_ray.functions.text import (
     sha256_column,
     token_count_whitespace,
 )
-from xpshacl_ray.stages.grouped import group_counts
 from xpshacl_ray.stages.referential import distinct_keys
 from xpshacl_ray.stages.stats import StatsConfig, profile
 from xpshacl_ray.stages.window import sessionize, tumbling_aggregate
@@ -436,12 +437,26 @@ def q_sparql_grouped(sf_dir: str):
     return viol.select_columns(["l_orderkey"] + GROUPED_VIOLATION_COLS)
 
 
+def _violating_group_counts(ds, constraint):
+    """``(key, actual_count)`` of the groups ``constraint`` (a MaxCount or
+    MinCount on its own key column) flags, read off the engine's
+    grouped violation rows."""
+    key = constraint.column
+    spec = ValidationSpec(constraints=[constraint], id_columns=[key],
+                          focus_template=f"{{{key}}}")
+    viol = ValidationEngine(spec).validate(ds)
+    return viol.map_batches(
+        lambda b: pa.table({key: b[key],
+                            "actual_count": pc.cast(b["value"], pa.int64())}),
+        batch_format="pyarrow")
+
+
 def q_cardinality_orders(sf_dir: str):
     """sh:maxCount analog (C2): customers with more than 15 orders."""
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                    columns=["o_custkey"])
-    counts = group_counts(orders, ["o_custkey"], None)
-    return counts.filter(expr="actual_count > 15")
+    return _violating_group_counts(orders, MaxCount(
+        column="o_custkey", group_by=["o_custkey"], max_count=15))
 
 
 def q_mincount_clicks(sf_dir: str):
@@ -449,8 +464,8 @@ def q_mincount_clicks(sf_dir: str):
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "event_type"])
     clicks = ev.filter(expr="event_type == 'click'")
-    counts = group_counts(clicks, ["user_id"], None)
-    return counts.filter(expr="actual_count < 10")
+    return _violating_group_counts(clicks, MinCount(
+        column="user_id", group_by=["user_id"], min_count=10))
 
 
 def q_required_customer(sf_dir: str):

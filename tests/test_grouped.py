@@ -1,15 +1,25 @@
-"""Grouped cardinality (C1/C2/C11): the pre-aggregated key exchange of
-``stages/grouped.py`` checked against DuckDB's ``GROUP BY ... HAVING``."""
+"""Grouped checks: the pre-aggregated key exchange of
+``stages/grouped.py`` checked against DuckDB's ``GROUP BY ... HAVING``
+and Counter oracles."""
 
 import json
 from collections import Counter
 
 import duckdb
+import numpy as np
 import pyarrow as pa
+import pytest
+import ray.cloudpickle
 import ray.data
+from ray.data import DataContext
 
-from xpshacl_ray.spec import MaxCount, ValidationSpec, compile_spec
-from xpshacl_ray.stages.grouped import evaluate_grouped
+from xpshacl_ray.spec import (GroupedSparql, GroupPredicate, MaxCount,
+                              MinCount, NodeIsolation, ValidationSpec,
+                              compile_spec)
+from xpshacl_ray.stages import grouped
+from xpshacl_ray.stages.grouped import (_evaluate_grouped_sparql,
+                                        evaluate_grouped,
+                                        evaluate_node_isolation)
 
 BIG = 2**60 + 1  # corrupts to 1.152921504606847e+18 under float64
 
@@ -52,3 +62,177 @@ def test_grouped_keys_matches_duckdb_with_int64_and_null_keys():
         assert json.loads(ctx)["actualCount"] == int(value)
     assert set(got["constraint_id"].to_pylist()) == {
         spec.grouped[0].constraint_id}
+
+
+# ---------------------------------------------------------------------------
+# The exchange: rows routed by ``sort("__h__")``, reduced per block in
+# Arrow, checked against Counter/set oracles or the map_groups twin.
+# ---------------------------------------------------------------------------
+
+
+def _keyed_rows(n=2000, seed=3):
+    """``(k, j, v)`` rows: int64 keys incl. ``BIG`` and its float64 twin
+    ``2**60``, string keys, and nulls in ``k``, ``j`` and ``v``."""
+    rng = np.random.default_rng(seed)
+    ks = [BIG, 2**60, None] + list(range(40))
+    js = ["x", "y", "z", None]
+    # the three special keys are hot, so MaxCount flags them
+    w = np.array([10.0] * 3 + [70 / 40] * 40) / 100
+    k = [ks[i] for i in rng.choice(len(ks), n, p=w)]
+    j = [js[i] for i in rng.integers(0, len(js), n)]
+    v = [None if r < 0.2 else f"v{r:.3f}" for r in rng.random(n)]
+    # a rare group with a null int key, for MinCount
+    k[::500], j[::500] = [None] * 4, ["w"] * 4
+    return pa.table({"k": pa.array(k, pa.int64()), "j": pa.array(j),
+                     "v": pa.array(v)})
+
+
+def _oracle(t, keep):
+    """{(k, j, count(v))} for the groups ``keep(count)`` selects."""
+    n = Counter()
+    for k, j, v in zip(t["k"].to_pylist(), t["j"].to_pylist(),
+                       t["v"].to_pylist()):
+        n[(k, j)] += v is not None
+    return Counter((k, j, c) for (k, j), c in n.items() if keep(c))
+
+
+def _blocks(ds, constraint):
+    """The non-empty violation blocks of ``constraint`` over ``ds``."""
+    spec = compile_spec(ValidationSpec(
+        constraints=[constraint], id_columns=["k", "j"],
+        focus_template="g:{k}/{j}"))
+    (part,) = evaluate_grouped(ds, spec)
+    return [b for b in part.iter_batches(batch_format="pyarrow",
+                                         batch_size=None) if b.num_rows]
+
+
+def _counts(blocks):
+    """{(k, j, actualCount)} of violation blocks, checking each focus."""
+    got = pa.concat_tables(blocks)
+    for k, j, focus in zip(got["k"].to_pylist(), got["j"].to_pylist(),
+                           got["focus_node"].to_pylist()):
+        # the null-focus rule: any null key part renders a NULL focus
+        assert focus == (None if k is None or j is None
+                         else f"group:{k}/{j}")
+    return Counter(zip(got["k"].to_pylist(), got["j"].to_pylist(),
+                       [int(x) for x in got["value"].to_pylist()]))
+
+
+CARDINALITY = [
+    (MaxCount(column="v", group_by=["k", "j"], max_count=30),
+     lambda c: c > 30),
+    (MinCount(column="v", group_by=["k", "j"], min_count=10),
+     lambda c: c < 10),
+]
+
+
+@pytest.mark.parametrize("constraint,keep", CARDINALITY,
+                         ids=["max_count", "min_count"])
+@pytest.mark.parametrize("layout", ["1_block", "40_blocks", "tiny_blocks"])
+def test_exchange_matches_counter(constraint, keep, layout, monkeypatch):
+    t = _keyed_rows()
+    if layout == "tiny_blocks":
+        # every map output splits into ~100-row blocks, so the sort runs
+        # with dozens of input blocks and reducers
+        monkeypatch.setattr(DataContext.get_current(),
+                            "target_max_block_size", 4096)
+    if layout == "1_block":
+        ds = ray.data.from_arrow(t)
+    else:
+        ds = ray.data.from_arrow([t.slice(i * 50, 50) for i in range(40)])
+    want = _oracle(t, keep)
+    # violating groups with a null in each key column
+    assert any(k is None for k, _, _ in want)
+    assert any(j is None for _, j, _ in want)
+    if isinstance(constraint, MaxCount):
+        assert {BIG, 2**60} <= {k for k, _, _ in want}
+    assert _counts(_blocks(ds, constraint)) == want
+
+
+def _constant_hash():
+    def key_hash64(col):
+        return np.zeros(len(col), np.uint64)
+
+    return key_hash64
+
+
+def test_forced_collision_keeps_output(monkeypatch):
+    """Every key hashes alike, so the whole exchange lands in one block:
+    the sweep still separates groups by their full keys."""
+    t = _keyed_rows()
+    ds = ray.data.from_arrow([t.slice(i * 200, 200) for i in range(10)])
+    constraint, keep = CARDINALITY[0]
+    want = _oracle(t, keep)
+
+    # pickle the module by value so the Ray workers see the patched hash
+    monkeypatch.setattr(grouped, "key_hash64", _constant_hash())
+    ray.cloudpickle.register_pickle_by_value(grouped)
+    try:
+        blocks = _blocks(ds, constraint)
+    finally:
+        ray.cloudpickle.unregister_pickle_by_value(grouped)
+    assert len(blocks) == 1  # the collision really co-located every key
+    assert _counts(blocks) == want
+
+
+def test_grouped_sparql_vectorized_equals_map_groups_twin():
+    rng = np.random.default_rng(5)
+    n = 600
+    t = pa.table({
+        # no null subject: for a null focus key the two paths disagree
+        # (the vectorized one reports it, map_groups does not)
+        "subject": pa.array([f"s{r}" for r in rng.integers(0, 60, n)]),
+        "predicate": pa.array([["p", "q", None][i]
+                               for i in rng.integers(0, 3, n)]),
+        "object": pa.array([f"o{i}" for i in rng.integers(0, 5, n)]),
+    })
+    ds = ray.data.from_arrow([t.slice(i * 100, 100) for i in range(6)])
+    spec = compile_spec(ValidationSpec(
+        constraints=[GroupedSparql(
+            path="p", group_by=["subject"], columns=["predicate", "object"],
+            name="p-count",
+            predicate=GroupPredicate(agg="count", op="<", value=4,
+                                     where_col="predicate", where_val="p"))],
+        id_columns=["subject"], focus_template="{subject}"))
+    cc = spec.grouped[0]
+
+    def table(d):
+        got = pa.concat_tables(d.iter_batches(batch_format="pyarrow",
+                                              batch_size=None))
+        return got.sort_by([("focus_node", "ascending"),
+                            ("value", "ascending")])
+
+    fast = table(_evaluate_grouped_sparql(ds, cc, spec))
+    slow = table(_evaluate_grouped_sparql(ds, cc, spec,
+                                          force_map_groups=True))
+    assert fast.num_rows > 0
+    assert fast.equals(slow)
+
+
+def test_node_isolation_matches_set_oracle():
+    rng = np.random.default_rng(9)
+    n = 400
+    t = pa.table({
+        "subject": pa.array([f"s{i}" for i in rng.integers(0, 80, n)]),
+        "predicate": pa.array([["p", "q", "r"][i]
+                               for i in rng.integers(0, 3, n)]),
+        "object": pa.array([f"s{i}" for i in rng.integers(0, 120, n)]),
+    })
+    ds = ray.data.from_arrow([t.slice(i * 100, 100) for i in range(4)])
+    c = NodeIsolation(outgoing=["p"], incoming=["q"], group_by=["subject"],
+                      columns=["predicate", "object"])
+    spec = compile_spec(ValidationSpec(constraints=[c],
+                                       id_columns=["subject"],
+                                       focus_template="{subject}"))
+    out = evaluate_node_isolation(ds, t, spec.grouped[0], spec)
+    got = pa.concat_tables(out.iter_batches(batch_format="pyarrow",
+                                            batch_size=None))
+
+    rows = list(zip(*(t[c].to_pylist()
+                      for c in ("subject", "predicate", "object"))))
+    witnessed = ({s for s, p, _ in rows if p == "p"}
+                 | {o for _, p, o in rows if p == "q"})
+    want = Counter(s for s, _, _ in rows if s not in witnessed)
+    assert want
+    assert Counter(dict(zip(got["subject"].to_pylist(),
+                            map(int, got["value"].to_pylist())))) == want

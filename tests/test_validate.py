@@ -1,0 +1,124 @@
+"""``ValidationEngine.validate`` and ``report`` contracts: the eager
+missing-column check, how many times the input is scanned, and the Arrow
+fan-out join of explanations onto violations."""
+
+import os
+import time
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray.data
+
+from xpshacl_ray.pipelines.code_files import build_engine
+from xpshacl_ray.pipelines.validate import ValidationEngine
+from xpshacl_ray.sources.fixtures import generate_code_files
+from xpshacl_ray.sources.ingest import add_lineage_columns
+from xpshacl_ray.spec import MaxCount, Required, ValidationSpec
+from xpshacl_ray.stages.referential import distinct_keys
+
+
+def test_validate_names_absent_column_eagerly():
+    ds = ray.data.from_arrow(pa.table({"a": [1, 2], "b": ["x", "y"]}))
+    ds = ds.map_batches(lambda b: b, batch_format="pyarrow")
+    spec = ValidationSpec(
+        constraints=[Required(column="a"),
+                     MaxCount(column="nope", group_by=["b"], max_count=1)],
+        id_columns=["a"], focus_template="row:{a}")
+    # raised by validate() itself, before anything is materialized: the
+    # same error raised inside a Ray task would surface as a
+    # UserCodeException, which is not a ValueError
+    with pytest.raises(ValueError, match="nope"):
+        ValidationEngine(spec).validate(ds)
+
+
+def _make_counting_lineage(log_path):
+    def lineage(batch: pa.Table) -> pa.Table:
+        with open(log_path, "a") as f:
+            f.write(f"{batch.num_rows}\n")
+        return add_lineage_columns(batch)
+
+    return lineage
+
+
+def _rows_logged(log_path) -> int:
+    if not os.path.exists(log_path):
+        return 0
+    with open(log_path) as f:
+        return sum(int(line) for line in f)
+
+
+def _settled_rows(log_path, quiet_s=1.0, limit_s=20.0) -> int:
+    """Rows logged once no task has appended for ``quiet_s``: the schema
+    probe's streaming read may still finish a task after it returns."""
+    n, t_end = _rows_logged(log_path), time.monotonic() + limit_s
+    while time.monotonic() < t_end:
+        time.sleep(quiet_s)
+        m = _rows_logged(log_path)
+        if m == n:
+            break
+        n = m
+    return n
+
+
+def test_validate_scans_input_at_most_twice(tmp_path):
+    """Row-local and grouped branches each read the input once; the
+    grouped exchange adds no further pass."""
+    fx = generate_code_files(1200, seed=1)
+    src = str(tmp_path / "code_files.parquet")
+    pq.write_table(fx.table, src, row_group_size=300)
+    log_path = str(tmp_path / "lineage.log")
+    ds = ray.data.read_parquet(src).map_batches(
+        _make_counting_lineage(log_path), batch_format="pyarrow")
+    keys = distinct_keys(ray.data.from_arrow(fx.commits), "commit")
+    engine = build_engine(kg_path=str(tmp_path / "kg.parquet"))
+
+    viol = engine.validate(ds, ref_keys={"commit": keys})
+    assert _settled_rows(log_path) <= fx.table.num_rows  # schema probe
+    os.remove(log_path)
+    assert viol.materialize().count() > 0
+    assert _rows_logged(log_path) <= 2 * fx.table.num_rows
+
+
+def _dict_join(violations: pa.Table, explanations: pa.Table, languages):
+    """The per-row dict lookup the Arrow join replaced."""
+    m = {(r["signature_key"], r["language"]): r
+         for r in explanations.to_pylist()}
+    keys = violations["signature_key"].to_pylist()
+    for lang in languages:
+        for col in ("explanation", "suggestions"):
+            violations = violations.append_column(
+                f"{col}_{lang}",
+                pa.array([(m.get((k, lang)) or {}).get(col) for k in keys],
+                         pa.string()))
+    return violations
+
+
+def test_report_join_equals_dict_join():
+    violations = pa.table({
+        "focus_node": ["f1", "f2", "f3", "f4", "f5"],
+        "signature_key": ["s1", "s2", "s1", "s_none", None],
+    })
+    explanations = pa.table({
+        "signature_key": ["s1", "s1", "s2"],
+        "language": ["en", "de", "en"],
+        "explanation": ["s1 en", "s1 de", None],
+        "suggestions": ["fix en", "fix de", "fix s2"],
+        "cache_hit": ["true", "false", "false"],
+    })
+    languages = ["en", "de"]
+    engine = ValidationEngine(
+        ValidationSpec(constraints=[Required(column="focus_node")]),
+        languages=languages)
+    ds = ray.data.from_arrow([violations.slice(0, 2), violations.slice(2)])
+    got = pa.concat_tables(engine.report(ds, explanations).iter_batches(
+        batch_format="pyarrow", batch_size=None))
+    want = _dict_join(violations, explanations, languages)
+    assert got.schema == want.schema
+    assert got.column_names[2:] == ["explanation_en", "suggestions_en",
+                                    "explanation_de", "suggestions_de"]
+    assert got.sort_by("focus_node").equals(want)
+    # s2 has no German row and s_none no row at all: nulls, not errors
+    de = dict(zip(got["focus_node"].to_pylist(),
+                  got["suggestions_de"].to_pylist()))
+    assert de["f2"] is None and de["f4"] is None and de["f5"] is None

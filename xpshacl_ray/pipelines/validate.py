@@ -4,7 +4,8 @@ Engine equivalent of the reference's ``main.py`` lifecycle::
 
     driver: compile constraint spec                       # ST1
     viol  = ds.map_batches(evaluate_row_local)            # C1..C20 fused (E1)
-            ∪ grouped checks (C1/C2/C11, shuffle #1)
+            ∪ grouped checks (C1/C2/C11: partials.sort(__h__)
+                              .map_batches(arrow_sweep), shuffle #1)
             ∪ referential checks (C4, broadcast anti-join)
             .materialize()
     sigs  = first_per_signature(∪ viol.map_batches(first_per_signature))
@@ -298,29 +299,26 @@ class ValidationEngine:
     ) -> "ray.data.Dataset":
         """Fan explanations back onto every violation instance.
 
-        Broadcast join: the per-signature explanation map is tiny, shipped
-        once via ``ray.put`` and read zero-copy in every task
-        (main.py:218-248 re-keys every instance by signature).
+        Broadcast join: per language, the K-row slice of ``explanations``
+        (one row per signature and language) is shipped once via
+        ``ray.put``; each block finds its signatures in it with
+        ``pc.index_in`` and ``take``s both columns, nulls where a
+        signature has no row (main.py:218-248 re-keys every instance by
+        signature).
         """
-        expl_map: Dict[tuple, Dict[str, str]] = {}
-        for r in explanations.to_pylist():
-            expl_map[(r["signature_key"], r["language"])] = r
-        ref = ray.put(expl_map)
-        languages = self.languages
+        lang_col = explanations["language"]
+        ref = ray.put([(lang, explanations.filter(pc.equal(lang_col, lang)))
+                       for lang in self.languages])
 
         def join(batch: pa.Table) -> pa.Table:
-            m = ray.get(ref)
-            keys = batch["signature_key"].to_pylist()
-            for lang in languages:
-                expl = [
-                    (m.get((k, lang)) or {}).get("explanation") for k in keys
-                ]
-                sugg = [
-                    (m.get((k, lang)) or {}).get("suggestions") for k in keys
-                ]
-                batch = batch.append_column(
-                    f"explanation_{lang}", pa.array(expl, pa.string())
-                ).append_column(f"suggestions_{lang}", pa.array(sugg, pa.string()))
+            for lang, t in ray.get(ref):
+                keys = t["signature_key"].combine_chunks()
+                idx = pc.index_in(batch["signature_key"], value_set=keys,
+                                  skip_nulls=True)
+                for col in ("explanation", "suggestions"):
+                    batch = batch.append_column(
+                        f"{col}_{lang}",
+                        pc.cast(t[col].take(idx), pa.string()))
             return batch
 
         return violations.map_batches(join, batch_format="pyarrow")

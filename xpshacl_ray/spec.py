@@ -1091,7 +1091,7 @@ class NodeIsolation(GroupedSparql):
     evaluate_node_isolation`): candidate rows (one per focus node, with
     its triple count) union WITNESS rows (subjects of ``outgoing`` /
     objects of ``incoming`` triples from the full graph) through ONE
-    vectorized groupby — a node with a candidate row and no witness row
+    hash-sorted exchange reduced in Arrow — a node with a candidate row and no witness row
     violates.  No broadcast, no per-group Python, no driver state: the
     exchange carries one slim (node, int, int) row per candidate/witness
     occurrence at any scale.

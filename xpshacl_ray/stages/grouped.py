@@ -1,15 +1,20 @@
 """Grouped cardinality / uniqueness checks (C1/C2/C11) — shuffle #1.
 
 Strategy (SURVEY.md §2.2, §4): never shuffle full rows.  Each grouped
-constraint projects to its key columns only, pre-aggregates counts
-*within each batch* via ``pyarrow.Table.group_by`` (the combiner), then runs a
-small ``groupby(keys).aggregate(Sum)`` over the per-batch partials.  The
-shuffle therefore moves one row per (key, batch) — bounded by distinct keys,
-not input rows.  At 100 TB the wide `content` column never enters the
-exchange.
+constraint projects to its key columns only and pre-aggregates counts
+*within each batch* via ``pyarrow.Table.group_by`` (the combiner,
+:func:`partial_group_counts`).  The exchange then moves one row per
+(key, batch) — bounded by distinct keys, not input rows.  At 100 TB the
+wide `content` column never enters the exchange.
 
-Violating groups are a tiny table; violation rows are built driver-side from
-it, with dynamic ``actualCount`` context exactly as the reference enriches
+The exchange (:func:`_exchange`) is the co-location recipe of Ray's
+``GroupedData.map_groups`` without its per-group Python: each row carries
+``__h__``, the int64 view of the composite key hash; ``sort("__h__")``
+puts equal keys in one block, and one ``map_batches(batch_size=None)``
+call per block reduces it with Arrow ``group_by`` on the FULL key columns.
+The hash only routes, so a collision co-locates two keys and nothing
+else: results stay exact.  Violation rows are built in that same call,
+with dynamic ``actualCount`` context exactly as the reference enriches
 cardinality context (extended_shacl_validator.py:292-318).
 
 Considered and rejected — combiner-side early-violation emit: a batch whose
@@ -26,21 +31,45 @@ plus a second input scan, measured slower than this one exchange).
 from __future__ import annotations
 
 import json
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Sum
 
+from ..functions.sketches import key_hash64
 from ..spec import CompiledConstraint, CompiledSpec, MaxCount, MinCount
 from .evaluate import violations_schema
 
 
+def _with_route_hash(t: pa.Table, keys: List[str]) -> pa.Table:
+    """``t`` plus ``__h__``: the int64 view of ``key_hash64`` folded over
+    ``keys``.  ``key_hash64`` ignores the batch's null layout, so equal
+    keys get equal hashes in every batch."""
+    h = np.zeros(t.num_rows, np.uint64)
+    for k in keys:
+        h = h * np.uint64(0x9E3779B97F4A7C15) + key_hash64(t[k])
+    return t.append_column("__h__", pa.array(h.view(np.int64)))
+
+
+def _exchange(ds: "ray.data.Dataset",
+              reduce: Callable[[pa.Table], pa.Table]) -> "ray.data.Dataset":
+    """Route rows carrying ``__h__`` so equal hashes share one block, then
+    ``reduce`` each whole block (``__h__`` dropped) in one Arrow call."""
+
+    def sweep(block: pa.Table) -> pa.Table:
+        return reduce(block.drop_columns(["__h__"]))
+
+    return ds.sort("__h__").map_batches(sweep, batch_format="pyarrow",
+                                        batch_size=None)
+
+
 def partial_group_counts(batch: pa.Table, keys: List[str],
                          value_col: Optional[str]) -> pa.Table:
-    """Within-batch combiner: one row per key with a partial count."""
+    """Within-batch combiner: one row per key with a partial count, plus
+    its routing hash ``__h__``."""
     cols = list(keys) + ([value_col] if value_col and value_col not in keys else [])
     t = batch.select(cols)
     if value_col and value_col not in keys:
@@ -51,18 +80,7 @@ def partial_group_counts(batch: pa.Table, keys: List[str],
         agg = t.group_by(keys).aggregate([([], "count_all")])
         n = agg.column("count_all")
         agg = agg.drop_columns(["count_all"]).append_column("partial_n", n)
-    return agg
-
-
-def group_counts(ds: "ray.data.Dataset", keys: List[str],
-                 value_col: Optional[str]) -> "ray.data.Dataset":
-    """count(value_col non-null) (or rows) per key group, pre-aggregated."""
-    partial = ds.map_batches(
-        lambda b: partial_group_counts(b, keys, value_col),
-        batch_format="pyarrow",
-    )
-    out = partial.groupby(keys).aggregate(Sum("partial_n", alias_name="actual_count"))
-    return out
+    return _with_route_hash(agg, keys)
 
 
 def _grouped_violation_rows(
@@ -74,8 +92,6 @@ def _grouped_violation_rows(
 ) -> pa.Table:
     """Build violation rows from violating groups — vectorized so a
     pathological spec (every group violating) still streams."""
-    import pyarrow.compute as pc
-
     n = groups.num_rows
     params = json.loads(cc.context_json)
     schema = violations_schema(spec.id_columns, id_types)
@@ -147,8 +163,6 @@ def _violations_of(bad: "ray.data.Dataset", cc: CompiledConstraint,
 
 def _key_hashes(batch: pa.Table, keys: List[str]) -> np.ndarray:
     """64-bit hash of the composite key (vectorized)."""
-    import pyarrow.compute as pc
-
     from ..functions.sketches import hash64
 
     parts = []
@@ -196,11 +210,13 @@ def evaluate_grouped(
 ) -> List["ray.data.Dataset"]:
     """Run every grouped constraint; returns one violations Dataset each.
 
-    MaxCount/MinCount run the pre-aggregated key exchange
-    (:func:`group_counts`): a lazy groupby on the key columns that stays
-    fully pipelined with the row-local scan (they execute concurrently
-    inside one streaming execution).  GroupedSparql constraints follow,
-    each in its own :func:`_evaluate_grouped_sparql` pass.
+    MaxCount/MinCount run the pre-aggregated key exchange: per-batch
+    partials (:func:`partial_group_counts`) routed by :func:`_exchange`,
+    whose per-block sweep sums ``partial_n`` per full key, keeps the
+    groups outside the bound and builds their violation rows.  It stays
+    lazy and pipelined with the row-local scan.  GroupedSparql
+    constraints follow, each in its own :func:`_evaluate_grouped_sparql`
+    pass.
     """
     from ..spec import GroupedSparql
 
@@ -213,16 +229,25 @@ def evaluate_grouped(
         if isinstance(c, GroupedSparql):
             out.append(_evaluate_grouped_sparql(ds, cc, spec, id_types))
             continue
-        keys = list(c.group_by)
-        counts = group_counts(ds, keys,
-                              c.column if c.column not in keys else None)
-        if isinstance(c, MaxCount):
-            bad = counts.filter(expr=f"actual_count > {int(c.max_count)}")
-        elif isinstance(c, MinCount):
-            bad = counts.filter(expr=f"actual_count < {int(c.min_count)}")
-        else:  # pragma: no cover
+        if not isinstance(c, (MaxCount, MinCount)):  # pragma: no cover
             raise TypeError(f"not a grouped constraint: {c}")
-        out.append(_violations_of(bad, cc, keys, spec, id_types))
+        keys = list(c.group_by)
+        value_col = c.column if c.column not in keys else None
+
+        def sweep(block: pa.Table, c=c, cc=cc, keys=keys) -> pa.Table:
+            tot = block.group_by(keys).aggregate([("partial_n", "sum")])
+            n = tot["partial_n_sum"]
+            bad = tot.filter(pc.greater(n, int(c.max_count))
+                             if isinstance(c, MaxCount)
+                             else pc.less(n, int(c.min_count)))
+            groups = pa.table({**{k: bad[k] for k in keys},
+                               "actual_count": bad["partial_n_sum"]})
+            return _grouped_violation_rows(groups, cc, keys, spec, id_types)
+
+        partials = ds.map_batches(partial_group_counts, batch_format="pyarrow",
+                                  fn_kwargs=dict(keys=keys,
+                                                 value_col=value_col))
+        out.append(_exchange(partials, sweep))
     return out
 
 
@@ -262,10 +287,8 @@ def _evaluate_grouped_sparql(
         path_iri = c.path
 
         def keep_path_rows(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as _pc
-
-            return b.filter(_pc.fill_null(
-                _pc.equal(b["predicate"], path_iri), False))
+            return b.filter(pc.fill_null(
+                pc.equal(b["predicate"], path_iri), False))
 
         sub = sub.map_batches(keep_path_rows, batch_format="pyarrow")
     sch = ds.schema()
@@ -318,7 +341,6 @@ def _monotone_metric_table(sel: pa.Table, keys: List[str], p) -> pa.Table:
     value is below the max over strictly-smaller-order rows of the
     same key."""
     import pandas as pd
-    import pyarrow.compute as pc
 
     empty = pa.table({**{k: sel[k].slice(0, 0) for k in keys},
                       "__metric__": pa.array([], pa.int64())})
@@ -381,12 +403,12 @@ def _evaluate_grouped_sparql_vectorized(
     id_types: List[pa.DataType],
 ) -> "ray.data.Dataset":
     """Vectorized GroupedSparql for declarative predicates (VERDICT r3
-    item 5) — the ``funnel_counts`` bucket pattern instead of
-    Python-per-focus-group ``map_groups``:
+    item 5) — one :func:`_exchange` instead of Python-per-focus-group
+    ``map_groups``:
 
-    1. prune to keys + predicate columns, tag each row with
-       ``hash(keys) % n_buckets`` (many focus groups per bucket);
-    2. ONE shuffle co-locates each bucket; inside, everything is Arrow
+    1. prune to keys + predicate columns and tag each row with the
+       routing hash ``__h__`` (many focus groups per block);
+    2. the exchange co-locates each key; per block, everything is Arrow
        C kernels — per-key totals via ``group_by(keys).count_all``, the
        metric via count / distinct-pair-then-count, a left-outer join
        back to totals (absent-after-filter keys count 0, so ``< k``
@@ -395,44 +417,15 @@ def _evaluate_grouped_sparql_vectorized(
        grouped violation-row builder as the map_groups path — outputs
        are row-for-row identical (pinned by the forcing test).
 
-    Partitioning bound: a bucket holds rows/n_buckets of the PRUNED
-    columns — the same per-task bound every bucketed stage in the
-    engine documents; the per-focus-group Python floor is gone."""
-    import ray  # noqa: F401
-
-    from ..functions.sketches import key_hash64
-
+    Partitioning bound: a block holds one sort range of the PRUNED
+    columns, and there are as many ranges as input blocks; the
+    per-focus-group Python floor is gone."""
     c = cc.constraint
     p = c.predicate
     keys = list(c.group_by)
     cols = keys + [x for x in _sparql_value_cols(c) if x not in keys]
-    sub = ds.select_columns(cols)
-    sch = ds.schema()
-    tmap = dict(zip(sch.names, sch.types))
 
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    n_buckets = 4 * max(cpus, 1)
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        # key_hash64 (null-layout-independent): an int key column whose
-        # batch holds any null would otherwise widen to float64 and
-        # split one focus group across buckets (ADVICE r4 class of bug)
-        h = key_hash64(b[keys[0]])
-        for k in keys[1:]:
-            h = h * np.uint64(0x9E3779B97F4A7C15) + key_hash64(b[k])
-        bk = (h % np.uint64(n_buckets)).astype(np.int64)
-        return b.append_column("__bucket__", pa.array(bk))
-
-    out_schema = pa.schema([(k, tmap[k]) for k in keys]
-                           + [("actual_count", pa.int64())])
-
-    def bucket_sweep(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        g = g.drop_columns(["__bucket__"])
+    def sweep(g: pa.Table) -> pa.Table:
         tot = g.group_by(keys).aggregate([([], "count_all")])
         sel = g
         if p.where_col is not None:
@@ -444,7 +437,7 @@ def _evaluate_grouped_sparql_vectorized(
             pairs = sel.group_by(keys + [p.agg_col]).aggregate([])
             agg = pairs.group_by(keys).aggregate([(p.agg_col, "count")])
             metric_col = f"{p.agg_col}_count"
-        else:  # monotone: one numpy segment sweep over the whole bucket
+        else:  # monotone: one numpy segment sweep over the whole block
             agg = _monotone_metric_table(sel, keys, p)
             metric_col = "__metric__"
         # rebuild by NAME (group_by output column order is an Arrow
@@ -456,15 +449,13 @@ def _evaluate_grouped_sparql_vectorized(
             pc.fill_null(pc.cast(j["__metric__"], pa.int64()), 0))
         mask = np.asarray(p.compare(metric), dtype=bool)
         bad = j.filter(pa.array(mask))
-        out = {k: bad[k] for k in keys}
-        out["actual_count"] = pc.cast(bad["count_all"], pa.int64())
-        return pa.table(out, schema=out_schema)
+        groups = pa.table({**{k: bad[k] for k in keys},
+                           "actual_count": bad["count_all"]})
+        return _grouped_violation_rows(groups, cc, keys, spec, id_types)
 
-    bad = (sub.map_batches(add_bucket, batch_format="pyarrow")
-           .groupby("__bucket__")
-           .map_groups(bucket_sweep, batch_format="pyarrow"))
-
-    return _violations_of(bad, cc, keys, spec, id_types)
+    routed = ds.select_columns(cols).map_batches(
+        _with_route_hash, batch_format="pyarrow", fn_kwargs=dict(keys=keys))
+    return _exchange(routed, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +473,6 @@ def normalized_edge_pairs(edges: pa.Table) -> frozenset:
     :class:`~xpshacl_ray.spec.SiblingAntiJoin` applies its two NOT
     EXISTS filters in BOTH directions, so only unordered relatedness
     matters."""
-    import pyarrow.compute as pc
-
     s, o = edges["subject"], edges["object"]
     lo = pc.min_element_wise(s, o).to_pylist()
     hi = pc.max_element_wise(s, o).to_pylist()
@@ -552,8 +541,6 @@ def evaluate_sibling_join(
     ``edges``: Dataset or pa.Table of (subject, object) rows of
     ``edge_pred`` over the FULL graph (not target-scoped — NOT EXISTS
     consults the whole graph)."""
-    import pyarrow.compute as pc
-
     c = cc.constraint
     keys = list(c.group_by)
     id_types = _id_types(ds, spec, id_types)
@@ -637,15 +624,13 @@ def evaluate_node_isolation(
     """Anti-join plan for :class:`~xpshacl_ray.spec.NodeIsolation`:
     candidates (one slim row per focus node) union witness rows
     (subjects of ``outgoing`` / objects of ``incoming`` triples of the
-    FULL graph) through ONE vectorized groupby — fully distributed, no
-    broadcast, no per-group Python.
+    FULL graph) through ONE exchange reduced in Arrow — fully
+    distributed, no broadcast, no per-group Python.
 
     ``ds``: the target-scoped triples Dataset (focus nodes' own rows);
     ``full``: Dataset or pa.Table of the FULL graph's
     (subject, predicate, object) rows (NOT EXISTS consults every
     triple)."""
-    import pyarrow.compute as pc
-
     c = cc.constraint
     out_pred = pa.array(sorted(set(c.outgoing)), pa.string())
     in_pred = pa.array(sorted(set(c.incoming)), pa.string())
@@ -679,9 +664,7 @@ def evaluate_membership(
     :func:`evaluate_node_isolation` (violation iff the witness IS
     present).  Used by :class:`~xpshacl_ray.spec.TransitiveCycle` to
     scope cycle membership back to the shape's target class.  One
-    vectorized groupby; no broadcast, no per-group Python."""
-    import pyarrow.compute as pc
-
+    exchange; no broadcast, no per-group Python."""
     def member_nodes(b: pa.Table) -> pa.Array:
         nodes = b["node"]
         if isinstance(nodes, pa.ChunkedArray):
@@ -709,12 +692,11 @@ def _focus_witness_groupby(
     :func:`evaluate_membership`: one slim ``(node, partial_count)`` row
     per focus subject per batch, union one row per witness node
     (``witness_nodes(batch)`` over ``witnesses`` pruned to
-    ``witness_cols``), through ONE ``groupby("node")``.  A focus node
-    violates iff it has a witness (``violate_on_witness``) or has none."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max
-
+    ``witness_cols``), through ONE :func:`_exchange` on ``node``.  A focus
+    node violates iff it has a witness (``violate_on_witness``) or has
+    none."""
     id_types = _id_types(ds, spec, id_types)
+    keys = list(cc.constraint.group_by)
     node_schema = pa.schema([("node", pa.string()),
                              ("n_rows", pa.int64()),
                              ("is_witness", pa.int64())])
@@ -724,21 +706,31 @@ def _focus_witness_groupby(
         agg = b.select(["subject"]).group_by(["subject"]).aggregate(
             [([], "count_all")])
         k = agg.num_rows
-        return pa.table(
+        return _with_route_hash(pa.table(
             {"node": agg["subject"],
              "n_rows": pc.cast(agg["count_all"], pa.int64()),
              "is_witness": pa.array([0] * k, pa.int64())},
-            schema=node_schema)
+            schema=node_schema), ["node"])
 
     def witness_rows(b: pa.Table) -> pa.Table:
-        # batch-local dedup: the groupby needs one witness per node, not
-        # one per occurrence — shrinks the exchange on dense graphs
+        # batch-local dedup: the exchange needs one witness per node, not
+        # one per occurrence — shrinks it on dense graphs
         nodes = pc.unique(pc.drop_null(witness_nodes(b)))
         k = len(nodes)
-        return pa.table(
+        return _with_route_hash(pa.table(
             {"node": nodes, "n_rows": pa.array([0] * k, pa.int64()),
              "is_witness": pa.array([1] * k, pa.int64())},
-            schema=node_schema)
+            schema=node_schema), ["node"])
+
+    def sweep(g: pa.Table) -> pa.Table:
+        agg = g.group_by("node").aggregate([("is_witness", "max"),
+                                            ("n_rows", "sum")])
+        bad = agg.filter(pc.and_(
+            pc.equal(agg["is_witness_max"], int(violate_on_witness)),
+            pc.greater(agg["n_rows_sum"], 0)))
+        groups = pa.table({"subject": bad["node"],
+                           "actual_count": bad["n_rows_sum"]})
+        return _grouped_violation_rows(groups, cc, keys, spec, id_types)
 
     if isinstance(witnesses, pa.Table):
         witnesses = ray.data.from_arrow(witnesses)
@@ -746,15 +738,4 @@ def _focus_witness_groupby(
         cand_rows, batch_format="pyarrow")
     wit = witnesses.select_columns(witness_cols).map_batches(
         witness_rows, batch_format="pyarrow")
-    agg = (cand.union(wit).groupby("node")
-           .aggregate(Max("is_witness", alias_name="w"),
-                      Sum("n_rows", alias_name="actual_count")))
-    bad = agg.filter(
-        expr=f"w == {int(violate_on_witness)} and actual_count > 0"
-    ).map_batches(
-        lambda b: pa.table({"subject": b["node"],
-                            "actual_count": pc.cast(b["actual_count"],
-                                                    pa.int64())}),
-        batch_format="pyarrow")
-    return _violations_of(bad, cc, list(cc.constraint.group_by), spec,
-                          id_types)
+    return _exchange(cand.union(wit), sweep)
