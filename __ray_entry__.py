@@ -408,8 +408,8 @@ def q_sparql_grouped(sf_dir: str):
     pattern ("ship dates must not decrease across line numbers") that no
     row-local mask can express.  Expressed as the DECLARATIVE
     GroupPredicate(agg='monotone') (VERDICT r3 item 5), so the engine
-    evaluates it fully vectorized — numpy segment kernels over hash
-    buckets of focus groups — instead of Python-per-group map_groups;
+    evaluates it fully vectorized — numpy segment kernels over the
+    key-sorted runs of each exchange block — instead of Python per group;
     one violation per violating group (SELECT DISTINCT $this
     semantics).  Tie-robust: a violation needs a row with a STRICTLY
     smaller line number and a later ship date (duplicate line numbers
@@ -2786,8 +2786,8 @@ def q_ttl_sparql_shark(sf_dir: str):
     the shark BIND/REPLACE naming shapes become target-scoped
     :class:`~xpshacl_ray.spec.RegexMatch` row constraints and the
     NOT-EXISTS superclass shape a join-aware
-    :class:`~xpshacl_ray.spec.SiblingAntiJoin` (broadcast edge probe,
-    bucketed anti-join past ``edge_broadcast_limit``) — all translated
+    :class:`~xpshacl_ray.spec.SiblingAntiJoin` (one anti-join plan:
+    candidate pairs against edge pairs in a hash-sorted exchange) — all translated
     from the Turtle shapes, zero hand-bound ``sparql_impls``.  The
     oracle is derived independently from the fixture's generation rule.
     (sf_dir-independent by design, like ``ttl_parity``.)"""

@@ -2,6 +2,7 @@
 ``stages/grouped.py`` checked against DuckDB's ``GROUP BY ... HAVING``
 and Counter oracles."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -66,7 +67,7 @@ def test_grouped_keys_matches_duckdb_with_int64_and_null_keys():
 
 # ---------------------------------------------------------------------------
 # The exchange: rows routed by ``sort("__h__")``, reduced per block in
-# Arrow, checked against Counter/set oracles or the map_groups twin.
+# Arrow, checked against Counter/set oracles or the per-group fn twin.
 # ---------------------------------------------------------------------------
 
 
@@ -175,38 +176,118 @@ def test_forced_collision_keeps_output(monkeypatch):
     assert _counts(blocks) == want
 
 
-def test_grouped_sparql_vectorized_equals_map_groups_twin():
-    rng = np.random.default_rng(5)
-    n = 600
-    t = pa.table({
-        # no null subject: for a null focus key the two paths disagree
-        # (the vectorized one reports it, map_groups does not)
-        "subject": pa.array([f"s{r}" for r in rng.integers(0, 60, n)]),
-        "predicate": pa.array([["p", "q", None][i]
-                               for i in rng.integers(0, 3, n)]),
-        "object": pa.array([f"o{i}" for i in rng.integers(0, 5, n)]),
-    })
-    ds = ray.data.from_arrow([t.slice(i * 100, 100) for i in range(6)])
-    spec = compile_spec(ValidationSpec(
+def _fn_twin(spec):
+    """``spec``'s one GroupedSparql with its predicate run as a per-group
+    ``fn`` — the reference the vectorized sweep is compared against."""
+    c = spec.grouped[0].constraint
+    twin = compile_spec(ValidationSpec(
+        constraints=[dataclasses.replace(c, predicate=None,
+                                         fn=c.predicate.fn)],
+        id_columns=spec.id_columns, focus_template=spec.focus_template))
+    return twin.grouped[0], twin
+
+
+def _sorted_table(d):
+    got = pa.concat_tables(d.iter_batches(batch_format="pyarrow",
+                                          batch_size=None))
+    return got.sort_by([("focus_node", "ascending"), ("value", "ascending")])
+
+
+def _sparql_spec(pred):
+    return compile_spec(ValidationSpec(
         constraints=[GroupedSparql(
-            path="p", group_by=["subject"], columns=["predicate", "object"],
-            name="p-count",
-            predicate=GroupPredicate(agg="count", op="<", value=4,
-                                     where_col="predicate", where_val="p"))],
+            group_by=["subject"], columns=["predicate", "object"],
+            name=pred.agg, predicate=pred)],
         id_columns=["subject"], focus_template="{subject}"))
-    cc = spec.grouped[0]
 
-    def table(d):
-        got = pa.concat_tables(d.iter_batches(batch_format="pyarrow",
-                                              batch_size=None))
-        return got.sort_by([("focus_node", "ascending"),
-                            ("value", "ascending")])
 
-    fast = table(_evaluate_grouped_sparql(ds, cc, spec))
-    slow = table(_evaluate_grouped_sparql(ds, cc, spec,
-                                          force_map_groups=True))
-    assert fast.num_rows > 0
-    assert fast.equals(slow)
+def test_grouped_sparql_vectorized_equals_map_groups_twin():
+    """The vectorized sweep equals its per-group ``fn`` twin under every
+    GroupPredicate aggregate, and both keep the null subject as a group
+    of its own."""
+    rng = np.random.default_rng(5)
+    n = 593
+    t = pa.table({
+        "subject": pa.array([f"s{r}" for r in rng.integers(0, 60, n)]
+                            + [None] * 7, pa.string()),
+        "predicate": pa.array([["p", "q", None][i]
+                               for i in rng.integers(0, 3, n)]
+                              + ["p"] * 5 + ["q"] * 2),
+        "object": pa.array([f"o{i}" for i in rng.integers(0, 5, n)]
+                           + [f"o{i}" for i in range(7)]),
+    })
+    t = t.take(rng.permutation(t.num_rows))
+    ds = ray.data.from_arrow([t.slice(i * 100, 100) for i in range(6)])
+    # (predicate, is the null subject reported?)
+    cases = [(GroupPredicate(agg="count", op="<", value=4,
+                             where_col="predicate", where_val="p"), False),
+             (GroupPredicate(agg="distinct", agg_col="object", op=">=",
+                             value=2), True),
+             (GroupPredicate(agg="monotone", agg_col="object",
+                             order_col="predicate", op="==", value=0), None)]
+    for pred, null_reported in cases:
+        spec = _sparql_spec(pred)
+        fast = _sorted_table(_evaluate_grouped_sparql(ds, spec.grouped[0],
+                                                      spec))
+        slow = _sorted_table(_evaluate_grouped_sparql(ds, *_fn_twin(spec)))
+        assert fast.num_rows > 0, pred
+        if null_reported is not None:
+            assert (None in fast["subject"].to_pylist()) == null_reported
+        assert fast.equals(slow), pred
+
+
+def test_grouped_sparql_vectorized_counts_null_key_group():
+    """A null subject with 5 ``p`` rows is not reported under ``count <
+    4``: its metric is its true count, not the 0 a null-dropping key join
+    reads."""
+    t = pa.table({
+        "subject": pa.array([None] * 5 + ["s1"] * 2 + ["s2"] * 5,
+                            pa.string()),
+        "predicate": pa.array(["p"] * 12),
+        "object": pa.array([f"o{i}" for i in range(12)]),
+    })
+    spec = _sparql_spec(GroupPredicate(agg="count", op="<", value=4,
+                                       where_col="predicate", where_val="p"))
+    got = _sorted_table(_evaluate_grouped_sparql(ray.data.from_arrow(t),
+                                                 spec.grouped[0], spec))
+    assert got["focus_node"].to_pylist() == ["group:s1"]
+    assert got["value"].to_pylist() == ["2"]
+
+
+@pytest.mark.parametrize("layout", ["1_block", "40_blocks", "tiny_blocks"])
+def test_grouped_sparql_fn_null_key_matches_counter(layout, monkeypatch):
+    """The ``fn`` form under SQL ``GROUP BY`` null semantics: a null key
+    with fewer than 4 rows is reported, with a NULL focus."""
+    rng = np.random.default_rng(11)
+    keys = [f"k{i}" for i in rng.integers(0, 40, 594)]
+    keys += ["rare1", "rare2", "rare2", None, None, None]  # small groups
+    keys = [keys[i] for i in rng.permutation(len(keys))]
+    t = pa.table({"k": pa.array(keys, pa.string()),
+                  "v": pa.array(np.arange(len(keys)))})
+    if layout == "tiny_blocks":
+        monkeypatch.setattr(DataContext.get_current(),
+                            "target_max_block_size", 1024)
+    if layout == "1_block":
+        ds = ray.data.from_arrow(t)
+    else:
+        ds = ray.data.from_arrow([t.slice(i * 15, 15) for i in range(40)])
+
+    def fewer_than_four(g):
+        return g.num_rows < 4
+
+    spec = compile_spec(ValidationSpec(
+        constraints=[GroupedSparql(group_by=["k"], columns=["v"],
+                                   fn=fewer_than_four, name="lt4")],
+        id_columns=["k"], focus_template="{k}"))
+    (part,) = evaluate_grouped(ds, spec)
+    got = pa.concat_tables(part.iter_batches(batch_format="pyarrow",
+                                             batch_size=None))
+    want = Counter({(k, n) for k, n in Counter(keys).items() if n < 4})
+    assert (None, 3) in want
+    assert Counter(zip(got["k"].to_pylist(),
+                       map(int, got["value"].to_pylist()))) == want
+    for k, focus in zip(got["k"].to_pylist(), got["focus_node"].to_pylist()):
+        assert focus == (None if k is None else f"group:{k}")
 
 
 def test_node_isolation_matches_set_oracle():

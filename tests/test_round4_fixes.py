@@ -255,8 +255,9 @@ def _compiled_sparql(pred=None, fn=None):
 
 @pytest.mark.slow
 def test_grouped_sparql_vectorized_path_parity():
-    """predicate-driven vectorized bucket sweep ≡ map_groups fn path,
-    row for row (the force_map_groups knob pins both paths)."""
+    """predicate-driven vectorized bucket sweep ≡ its per-group fn twin
+    (the same constraint with ``fn=pred.fn`` and no predicate), row for
+    row."""
     from xpshacl_ray.spec import GroupPredicate
     from xpshacl_ray.stages.grouped import _evaluate_grouped_sparql
 
@@ -265,9 +266,9 @@ def test_grouped_sparql_vectorized_path_parity():
                           value=2, where_col="predicate",
                           where_val="rdfs:subClassOf")
     spec, cc = _compiled_sparql(pred=pred)
+    twin, twin_cc = _compiled_sparql(fn=pred.fn)
     fast = _evaluate_grouped_sparql(ds, cc, spec).to_pandas()
-    slow = _evaluate_grouped_sparql(ds, cc, spec,
-                                    force_map_groups=True).to_pandas()
+    slow = _evaluate_grouped_sparql(ds, twin_cc, twin).to_pandas()
     assert len(fast) > 0  # the fixture produces real violations
     key = ["focus_node"]
     f = fast.sort_values(key).reset_index(drop=True)
@@ -279,7 +280,7 @@ def test_grouped_sparql_vectorized_path_parity():
 
 def test_group_predicate_count_lt_counts_empty_groups():
     """op '<' must see keys whose filtered metric is empty (0 matching
-    rows) — the left-outer-join-to-totals guarantee."""
+    rows): every group's metric starts at 0."""
     import ray.data
     from xpshacl_ray.spec import GroupPredicate
     from xpshacl_ray.stages.grouped import _evaluate_grouped_sparql
@@ -328,9 +329,9 @@ def test_grouped_sparql_monotone_vectorized_parity():
     pred = GroupPredicate(agg="monotone", agg_col="object",
                           order_col="predicate", op=">=", value=1)
     spec, cc = _compiled_sparql(pred=pred)
+    twin, twin_cc = _compiled_sparql(fn=pred.fn)
     fast = _evaluate_grouped_sparql(ds, cc, spec).to_pandas()
-    slow = _evaluate_grouped_sparql(ds, cc, spec,
-                                    force_map_groups=True).to_pandas()
+    slow = _evaluate_grouped_sparql(ds, twin_cc, twin).to_pandas()
     assert len(fast) > 0
     f = fast.sort_values("focus_node").reset_index(drop=True)
     s2 = slow.sort_values("focus_node").reset_index(drop=True)
@@ -415,6 +416,8 @@ def test_unigram_logprob_join_append_with_renamed_id_col():
 def test_grouped_sparql_vectorized_multikey_parity():
     """Multi-column group_by exercises the combined key hashing in the
     bucket tagger (keys[1:] mixing path)."""
+    import dataclasses
+
     import ray.data
     from xpshacl_ray.spec import (GroupedSparql, GroupPredicate,
                                   ValidationSpec, compile_spec)
@@ -435,9 +438,11 @@ def test_grouped_sparql_vectorized_multikey_parity():
                                        id_columns=["k1"],
                                        focus_template="g:{k1}"))
     cc = spec.grouped[0]
+    twin = compile_spec(ValidationSpec(
+        constraints=[dataclasses.replace(c, predicate=None, fn=pred.fn)],
+        id_columns=["k1"], focus_template="g:{k1}"))
     fast = _evaluate_grouped_sparql(ds, cc, spec).to_pandas()
-    slow = _evaluate_grouped_sparql(ds, cc, spec,
-                                    force_map_groups=True).to_pandas()
+    slow = _evaluate_grouped_sparql(ds, twin.grouped[0], twin).to_pandas()
     assert len(fast) > 0
     f = fast.sort_values("focus_node").reset_index(drop=True)
     s = slow.sort_values("focus_node").reset_index(drop=True)

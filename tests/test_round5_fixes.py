@@ -2,10 +2,10 @@
 
 1. GroupPredicate agg='distinct' null semantics: SQL COUNT(DISTINCT) /
    SPARQL COUNT(DISTINCT ?x) ignore null — both the vectorized bucket
-   sweep and the map_groups fallback fn must agree (the medium finding:
+   sweep and its per-group fn twin must agree (the medium finding:
    they used to diverge on groups containing nulls).
-2. force_map_groups with BOTH fn and predicate set runs the
-   predicate-derived fn ("fn is ignored when predicate is given").
+2. A constraint with BOTH fn and predicate set is evaluated by its
+   predicate ("fn is ignored when predicate is given").
 3. hash_join bucket hashing is independent of a batch's null layout
    (nullable int keys used to widen to float64 and re-bucket).
 4. exact_quantile_thresholds gates its count short-circuit on cheap
@@ -22,7 +22,7 @@ import ray.data
 
 
 # ---------------------------------------------------------------------------
-# 1+2. GroupPredicate null-distinct parity / forced-path predicate priority
+# 1+2. GroupPredicate null-distinct parity / predicate priority over fn
 # ---------------------------------------------------------------------------
 
 
@@ -63,10 +63,10 @@ def test_group_predicate_distinct_ignores_nulls_both_paths():
                           value=2, where_col="predicate",
                           where_val="rdfs:subClassOf")
     spec, cc = _compiled_sparql(pred=pred)
+    twin, twin_cc = _compiled_sparql(fn=pred.fn)
     ds = _null_triples()
     fast = _evaluate_grouped_sparql(ds, cc, spec).to_pandas()
-    slow = _evaluate_grouped_sparql(ds, cc, spec,
-                                    force_map_groups=True).to_pandas()
+    slow = _evaluate_grouped_sparql(ds, twin_cc, twin).to_pandas()
     # only ex:B violates on BOTH paths (null is not a distinct value)
     for out in (fast, slow):
         focs = sorted(out["focus_node"])
@@ -88,9 +88,9 @@ def test_group_predicate_fn_drops_nulls():
     assert pred.fn(g2) is True
 
 
-def test_force_map_groups_prefers_predicate_over_fn():
-    """With BOTH set, the forced path must run the predicate-derived fn,
-    not c.fn — otherwise the parity knob compares different predicates."""
+def test_predicate_wins_over_fn():
+    """A constraint with both ``fn`` and ``predicate`` is evaluated by its
+    predicate."""
     from xpshacl_ray.spec import GroupPredicate
     from xpshacl_ray.stages.grouped import _evaluate_grouped_sparql
 
@@ -101,11 +101,9 @@ def test_force_map_groups_prefers_predicate_over_fn():
                           value=2, where_col="predicate",
                           where_val="rdfs:subClassOf")
     spec, cc = _compiled_sparql(pred=pred, fn=everything_violates)
-    ds = _null_triples()
-    slow = _evaluate_grouped_sparql(ds, cc, spec,
-                                    force_map_groups=True).to_pandas()
+    out = _evaluate_grouped_sparql(_null_triples(), cc, spec).to_pandas()
     # decoy fn would flag all 3 subjects; the predicate flags only ex:B
-    assert len(slow) == 1 and slow["focus_node"].iloc[0].endswith("ex:B")
+    assert len(out) == 1 and out["focus_node"].iloc[0].endswith("ex:B")
 
 
 # ---------------------------------------------------------------------------

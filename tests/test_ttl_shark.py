@@ -218,7 +218,7 @@ def test_regexmatch_python_fallback_for_lookahead():
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: fixture parity, broadcast vs bucketed anti-join
+# end-to-end: fixture parity of the sibling anti-join plan
 # ---------------------------------------------------------------------------
 
 
@@ -237,23 +237,9 @@ def shark_fixture(tmp_path_factory):
     return str(dp), str(sp), expected
 
 
-def test_shark_fixture_broadcast_plan(shark_fixture, ray_session):
+def test_shark_fixture_antijoin_plan(shark_fixture, ray_session):
     dp, sp, expected = shark_fixture
     v = validate_ttl(dp, sp, sparql=True).to_pandas()
-    assert sorted(zip(v["subject"], v["message"])) == expected
-
-
-def test_shark_fixture_forced_join_plan_parity(shark_fixture,
-                                               ray_session):
-    dp, sp, expected = shark_fixture
-    shape_triples, _ = load_turtle(sp)
-    impls, _ = sparql_grouped_constraints(shape_triples)
-    sib = [c for _, c in impls if isinstance(c, SiblingAntiJoin)][0]
-    sib.edge_broadcast_limit = 0  # force the bucketed anti-join
-    v = validate_ttl(
-        dp, sp, sparql=True,
-        sparql_impls={"Classes must have at most one superclass": sib},
-    ).to_pandas()
     assert sorted(zip(v["subject"], v["message"])) == expected
 
 
@@ -571,55 +557,70 @@ def test_cycle_members_distributed_scc_structured_cases(ray_session):
 # ---------------------------------------------------------------------------
 
 
-def test_sibling_fn_matches_bruteforce_random():
-    import numpy as np
+def test_sibling_join_matches_bruteforce_random():
+    """60 random focus groups, each with its own node universe and edge
+    relation, through the engine's anti-join plan in one Dataset."""
+    from collections import Counter
 
-    from xpshacl_ray.stages.grouped import (
-        normalized_edge_pairs,
-        sibling_fn,
-    )
+    import numpy as np
+    import ray.data
+
+    from xpshacl_ray.spec import ValidationSpec, compile_spec
+    from xpshacl_ray.stages.grouped import evaluate_sibling_join
 
     rng = np.random.default_rng(17)
-    P = "http://x/p"
-    Q_NODES = [f"n{i}" for i in range(12)]
+    P, Q, E = "http://x/p", "http://x/q", "http://x/e"
+    focus, edges, cases = [], [], []
     for case in range(60):
-        # random focus group: some p-triples, some noise triples
+        nodes = [f"c{case}/n{i}" for i in range(12)]
+        # the subject is itself a node, so exclude_self matters
+        subj = nodes[11]
         k = int(rng.integers(1, 7))
-        objs = list(rng.choice(Q_NODES, k))
-        subj = "focus"
-        g = pa.table({
-            "subject": pa.array([subj] * (k + 2), pa.string()),
-            "predicate": pa.array([P] * k + ["http://x/q"] * 2,
-                                  pa.string()),
-            "object": pa.array(objs + ["zz", None], pa.string()),
-        })
-        # random edge relation over the node universe
+        objs = list(rng.choice(nodes, k))
+        focus += [(subj, P, o) for o in objs]
+        focus += [(subj, Q, "zz"), (subj, Q, None)]
+        if case % 4 == 0:
+            focus.append((subj, P, None))
         m = int(rng.integers(0, 20))
-        es = rng.choice(Q_NODES, m)
-        ed = rng.choice(Q_NODES, m)
-        edges = pa.table({"subject": pa.array(es, pa.string()),
-                          "object": pa.array(ed, pa.string())})
-        excl = {"n0"} if case % 3 == 0 else set()
-        exclude_self = case % 2 == 0
+        es, ed = rng.choice(nodes, m), rng.choice(nodes, m)
+        edges += [(src, E, dst) for src, dst in zip(es, ed)]
+        excl = {nodes[0]} if case % 3 == 0 else set()
+        rel = set(zip(es.tolist(), ed.tolist()))
+        cases.append((subj, objs, excl, rel))
 
-        from xpshacl_ray.spec import SiblingAntiJoin
+    def table(rows):
+        return pa.table({c: pa.array([r[i] for r in rows], pa.string())
+                         for i, c in enumerate(("subject", "predicate",
+                                                "object"))})
 
-        c = SiblingAntiJoin(path=P, edge_pred="http://x/e",
-                            exclude=sorted(excl),
+    ft = table(focus)
+    ds = ray.data.from_arrow([ft.slice(i * 40, 40)
+                              for i in range(-(-ft.num_rows // 40))])
+    full = table(focus + edges)
+    n_rows = Counter(ft["subject"].to_pylist())
+    excluded = sorted(set().union(*(x for _, _, x, _ in cases)))
+    for exclude_self in (False, True):
+        c = SiblingAntiJoin(path=P, edge_pred=E, exclude=excluded,
                             exclude_self=exclude_self,
                             group_by=["subject"],
                             columns=["predicate", "object"])
-        fn = sibling_fn(normalized_edge_pairs(edges), c)
-
+        spec = compile_spec(ValidationSpec(constraints=[c],
+                                           id_columns=["subject"],
+                                           focus_template="{subject}"))
+        out = evaluate_sibling_join(ds, full, spec.grouped[0], spec)
+        got = pa.concat_tables(out.iter_batches(batch_format="pyarrow",
+                                                batch_size=None))
         # brute force, straight from the SPARQL semantics
-        S = sorted({o for o in objs
-                    if o not in excl
-                    and not (exclude_self and o == subj)})
-        rel = {(s, d) for s, d in zip(es.tolist(), ed.tolist())}
-        want = any(
-            (a, b) not in rel and (b, a) not in rel
-            for i, a in enumerate(S) for b in S[i + 1:])
-        assert fn(g) == want, (case, S)
+        want = Counter()
+        for subj, objs, excl, rel in cases:
+            S = sorted({o for o in objs if o not in excl
+                        and not (exclude_self and o == subj)})
+            if any((a, b) not in rel and (b, a) not in rel
+                   for i, a in enumerate(S) for b in S[i + 1:]):
+                want[(subj, n_rows[subj])] += 1
+        assert 0 < len(want) < 60
+        assert Counter(zip(got["subject"].to_pylist(),
+                           map(int, got["value"].to_pylist()))) == want
 
 
 def test_regexmatch_matches_re_sub_bruteforce():

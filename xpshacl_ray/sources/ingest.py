@@ -38,13 +38,6 @@ def sha256_hex(values: Sequence[Optional[str]]) -> List[Optional[str]]:
     return out
 
 
-def md5_hex(values: Sequence[Optional[str]]) -> List[Optional[str]]:
-    return [
-        None if v is None else hashlib.md5(v.encode("utf-8")).hexdigest()
-        for v in values
-    ]
-
-
 def stable_row_id(keys: Sequence[str]) -> np.ndarray:
     """Deterministic 63-bit int64 id per natural-key string.
 

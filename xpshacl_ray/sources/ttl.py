@@ -2703,10 +2703,8 @@ def sparql_grouped_constraints(shape_triples: List[Triple]):
     - the two-triple self-join with pairwise ``FILTER NOT EXISTS`` over
       an edge predicate (the shark superclass shape,
       ``shark_shapes.ttl:48-67``, VERDICT r4 item 3) →
-      :class:`~xpshacl_ray.spec.SiblingAntiJoin` — the engine binds its
-      join-aware fn once the data graph's edge relation is known
-      (broadcast probe, or the bucketed anti-join past
-      ``edge_broadcast_limit``).
+      :class:`~xpshacl_ray.spec.SiblingAntiJoin` — evaluated by the
+      pair anti-join plan against the data graph's full edge relation.
 
     - conjunctive single-triple NOT EXISTS / the OPTIONAL+HAVING(=0)
       aggregate spelling (unconnected classes / must-have-instances,
@@ -2983,16 +2981,21 @@ def validate_ttl(data_path: str, shapes_path: str,
                 parts.append(ValidationEngine(ispec).validate(
                     ray.data.from_arrow(focus_tbl)))
                 continue
-            if isinstance(impl, NodeIsolation):
-                # witness anti-join over the FULL graph (NOT EXISTS
-                # consults every triple, not just target-scoped ones)
+            if isinstance(impl, (NodeIsolation, SiblingAntiJoin)):
+                # anti-join over the FULL graph (NOT EXISTS consults
+                # every triple, not just target-scoped ones)
                 from ..spec import compile_constraint, compile_spec
-                from ..stages.grouped import evaluate_node_isolation
+                from ..stages.grouped import (
+                    evaluate_node_isolation,
+                    evaluate_sibling_join,
+                )
 
-                cspec = compile_spec(ispec)
-                parts.append(evaluate_node_isolation(
-                    scoped_ds, full_tt, compile_constraint(impl),
-                    cspec))
+                evaluate = (evaluate_node_isolation
+                            if isinstance(impl, NodeIsolation)
+                            else evaluate_sibling_join)
+                parts.append(evaluate(scoped_ds, full_tt,
+                                      compile_constraint(impl),
+                                      compile_spec(ispec)))
                 continue
             if isinstance(impl, TransitiveCycle):
                 # iterative plan: cycle membership of the FULL graph's
@@ -3010,33 +3013,6 @@ def validate_ttl(data_path: str, shapes_path: str,
                 parts.append(evaluate_membership(
                     scoped_ds, members, compile_constraint(impl),
                     cspec))
-                continue
-            if isinstance(impl, SiblingAntiJoin):
-                # join-aware constraint: bind the plan now that the data
-                # graph's edge relation is known.  Edges come from the
-                # FULL graph (NOT EXISTS consults every triple, not just
-                # target-scoped ones).
-                from ..spec import compile_constraint, compile_spec
-                from ..stages.grouped import (
-                    evaluate_sibling_join,
-                    normalized_edge_pairs,
-                    sibling_fn,
-                )
-
-                emask = pc.equal(full_tt["predicate"], impl.edge_pred)
-                edges = full_tt.filter(pc.fill_null(emask, False)).select(
-                    ["subject", "object"])
-                limit = impl.edge_broadcast_limit
-                if limit and edges.num_rows <= limit:
-                    pairs_ref = ray.put(normalized_edge_pairs(edges))
-                    impl.fn = sibling_fn(pairs_ref, impl)
-                    parts.append(
-                        ValidationEngine(ispec).validate(scoped_ds))
-                else:
-                    cspec = compile_spec(ispec)
-                    parts.append(evaluate_sibling_join(
-                        scoped_ds, edges, compile_constraint(impl),
-                        cspec))
                 continue
             parts.append(ValidationEngine(ispec).validate(scoped_ds))
     for target_class, spec in sorted(specs.items()):

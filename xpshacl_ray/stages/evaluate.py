@@ -138,18 +138,3 @@ def evaluate_row_local(batch: pa.Table, spec: CompiledSpec) -> pa.Table:
     if not out:
         return _empty_violations(batch, spec)
     return pa.concat_tables(out)
-
-
-class RowLocalEvaluator:
-    """``map_batches`` callable for the fused row-local evaluation stage.
-
-    Used as a plain function-like object (stateless tasks): the compiled
-    spec ships in the closure.  Exposed as a class so callers can also run
-    it in an actor pool when a spec carries expensive custom predicates.
-    """
-
-    def __init__(self, spec: CompiledSpec):
-        self.spec = spec
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return evaluate_row_local(batch, self.spec)

@@ -1,4 +1,6 @@
-"""Grouped cardinality / uniqueness checks (C1/C2/C11) — shuffle #1.
+"""Grouped checks — shuffle #1: cardinality / uniqueness (C1/C2/C11) and
+the multi-row SHACL-SPARQL forms (C19: GroupedSparql, SiblingAntiJoin,
+NodeIsolation, cycle membership).
 
 Strategy (SURVEY.md §2.2, §4): never shuffle full rows.  Each grouped
 constraint projects to its key columns only and pre-aggregates counts
@@ -7,15 +9,15 @@ constraint projects to its key columns only and pre-aggregates counts
 (key, batch) — bounded by distinct keys, not input rows.  At 100 TB the
 wide `content` column never enters the exchange.
 
-The exchange (:func:`_exchange`) is the co-location recipe of Ray's
-``GroupedData.map_groups`` without its per-group Python: each row carries
-``__h__``, the int64 view of the composite key hash; ``sort("__h__")``
-puts equal keys in one block, and one ``map_batches(batch_size=None)``
-call per block reduces it with Arrow ``group_by`` on the FULL key columns.
-The hash only routes, so a collision co-locates two keys and nothing
-else: results stay exact.  Violation rows are built in that same call,
-with dynamic ``actualCount`` context exactly as the reference enriches
-cardinality context (extended_shacl_validator.py:292-318).
+Every plan here co-locates keys one way, :func:`_exchange`: each row
+carries ``__h__``, the int64 view of the composite key hash;
+``sort("__h__")`` puts equal keys in one block, and one
+``map_batches(batch_size=None)`` call per block reduces it in Arrow on
+the FULL key columns.  The hash only routes, so a collision co-locates
+two keys and nothing else: results stay exact.  A null key is a group of
+its own, as under SQL ``GROUP BY``.  Violation rows are built in that
+same call, with dynamic ``actualCount`` context exactly as the reference
+enriches cardinality context (extended_shacl_validator.py:292-318).
 
 Considered and rejected — combiner-side early-violation emit: a batch whose
 partial count already exceeds ``max_count`` proves the group violates, but
@@ -150,17 +152,6 @@ def _id_types(ds: "ray.data.Dataset", spec: CompiledSpec,
     return [tmap[c] for c in spec.id_columns]
 
 
-def _violations_of(bad: "ray.data.Dataset", cc: CompiledConstraint,
-                   keys: List[str], spec: CompiledSpec,
-                   id_types: List[pa.DataType]) -> "ray.data.Dataset":
-    """Violating ``(keys, actual_count)`` groups → violation rows."""
-
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return _grouped_violation_rows(batch, cc, keys, spec, id_types)
-
-    return bad.map_batches(to_rows, batch_format="pyarrow")
-
-
 def _key_hashes(batch: pa.Table, keys: List[str]) -> np.ndarray:
     """64-bit hash of the composite key (vectorized)."""
     from ..functions.sketches import hash64
@@ -216,7 +207,7 @@ def evaluate_grouped(
     groups outside the bound and builds their violation rows.  It stays
     lazy and pipelined with the row-local scan.  GroupedSparql
     constraints follow, each in its own :func:`_evaluate_grouped_sparql`
-    pass.
+    exchange.  Either way a null key forms its own group.
     """
     from ..spec import GroupedSparql
 
@@ -251,73 +242,95 @@ def evaluate_grouped(
     return out
 
 
+def _key_runs(t: pa.Table, keys: List[str]) -> np.ndarray:
+    """Start offsets of the runs of equal ``keys`` in ``t``, which is
+    sorted by them.  A null equals a null (SQL ``GROUP BY``), so null
+    keys form their own run instead of splitting or vanishing."""
+    new = np.zeros(t.num_rows, bool)
+    new[:1] = True
+    for k in keys:
+        a = t[k].combine_chunks()
+        cur, prev = a[1:], a[:-1]
+        same = pc.or_(pc.fill_null(pc.equal(cur, prev), False),
+                      pc.and_(pc.is_null(cur), pc.is_null(prev)))
+        new[1:] |= ~same.to_numpy(zero_copy_only=False)
+    return np.flatnonzero(new)
+
+
 def _evaluate_grouped_sparql(
     ds: "ray.data.Dataset",
     cc: CompiledConstraint,
     spec: CompiledSpec,
     id_types: Optional[List[pa.DataType]] = None,
-    force_map_groups: bool = False,
 ) -> "ray.data.Dataset":
-    """C19 grouped form (GroupedSparql): one ``map_groups`` pass.
+    """C19 grouped form (GroupedSparql): one :func:`_exchange`.
 
-    The exchange ships only ``group_by`` + the fn's declared ``columns``
-    (prune-at-the-read); each violating group emits ONE
-    ``(keys, actual_count)`` row — SPARQL ``SELECT DISTINCT $this`` — then
-    reuses the grouped violation-row builder so focus/value/context match
-    the cardinality family byte-for-byte.
+    The exchange ships only ``group_by`` + the columns the check reads
+    (prune-at-the-read).  Each routed block is sorted by the full keys
+    (nulls last) and split into runs of equal keys, one run per focus
+    group; a null key is a group of its own, as under SQL ``GROUP BY``.
+    Each violating group emits ONE ``(keys, actual_count)`` row — SPARQL
+    ``SELECT DISTINCT $this`` — into the grouped violation-row builder,
+    so focus/value/context match the cardinality family byte-for-byte.
 
-    A constraint carrying a declarative :class:`~xpshacl_ray.spec.
-    GroupPredicate` instead routes to the fully vectorized bucket sweep
-    (:func:`_evaluate_grouped_sparql_vectorized`) — no per-focus-group
-    Python.  ``force_map_groups=True`` keeps such a constraint on the
-    per-group path (via the predicate's derived fn) — the path-parity
-    forcing knob, test-only."""
+    - ``fn`` form: ``fn`` runs once per run, on a zero-copy slice;
+      ``max_group_rows`` bounds a run and ``path_rows_only`` prunes
+      non-``path`` rows before the exchange.
+    - declarative :class:`~xpshacl_ray.spec.GroupPredicate` form
+      (wins over ``fn``): every group's metric is one numpy/Arrow pass
+      over the block's runs (:func:`_predicate_metric`) — no
+      per-focus-group Python.
+
+    Partitioning bound: a block holds one sort range of the PRUNED
+    columns, and there are as many ranges as input blocks."""
     id_types = _id_types(ds, spec, id_types)
     c = cc.constraint
-    if getattr(c, "predicate", None) is not None and not force_map_groups:
-        return _evaluate_grouped_sparql_vectorized(ds, cc, spec, id_types)
+    p = c.predicate
     keys = list(c.group_by)
     cols = keys + [x for x in _sparql_value_cols(c) if x not in keys]
-    sub = ds.select_columns(cols)
-    if (getattr(c, "path_rows_only", False) and c.path
-            and "predicate" in cols):
-        # contract: fn reads only predicate==path rows and a group
-        # without them never violates — prune BEFORE the shuffle so
-        # sparse-predicate groups do not shuffle at all
-        path_iri = c.path
+    order = keys + ([p.order_col] if p is not None and p.agg == "monotone"
+                    else [])
+    # contract: fn reads only predicate==path rows and a group without
+    # them never violates — prune BEFORE the exchange so
+    # sparse-predicate groups do not ship at all
+    path_iri = (c.path if p is None and c.path_rows_only and c.path
+                and "predicate" in cols else None)
+    max_rows = c.max_group_rows or 0
 
-        def keep_path_rows(b: pa.Table) -> pa.Table:
-            return b.filter(pc.fill_null(
-                pc.equal(b["predicate"], path_iri), False))
-
-        sub = sub.map_batches(keep_path_rows, batch_format="pyarrow")
-    sch = ds.schema()
-    tmap = dict(zip(sch.names, sch.types))
-    out_schema = pa.schema([(k, tmap[k]) for k in keys]
-                           + [("actual_count", pa.int64())])
-    # predicate wins over fn when both are set ("fn is ignored when
-    # predicate is given") — otherwise force_map_groups would compare
-    # two DIFFERENT predicates in the path-parity test (ADVICE r4)
-    pred = getattr(c, "predicate", None)
-    fn = pred.fn if pred is not None else c.fn
-
-    max_rows = getattr(c, "max_group_rows", 0) or 0
-
-    def per_group(g: pa.Table) -> pa.Table:
-        if max_rows and g.num_rows > max_rows:
+    def violating(block: pa.Table, starts: np.ndarray,
+                  sizes: np.ndarray) -> np.ndarray:
+        if p is not None:
+            return np.asarray(p.compare(_predicate_metric(block, sizes, p)),
+                              dtype=bool)
+        if max_rows and sizes.size and sizes.max() > max_rows:
             raise ValueError(
-                f"GroupedSparql {c.name!r}: focus group of {g.num_rows} "
-                f"rows exceeds max_group_rows={max_rows} — a skewed key "
-                f"broke the rows-per-subject bound; cap or salt upstream")
-        if g.num_rows and bool(fn(g)):
-            row = {k: [g[k][0].as_py()] for k in keys}
-            row["actual_count"] = [g.num_rows]
-            return pa.table(row, schema=out_schema)
-        return out_schema.empty_table()
+                f"GroupedSparql {c.name!r}: focus group of "
+                f"{int(sizes.max())} rows exceeds max_group_rows="
+                f"{max_rows} — a skewed key broke the rows-per-subject "
+                f"bound; cap or salt upstream")
+        return np.array([bool(c.fn(block.slice(s, n)))
+                         for s, n in zip(starts, sizes)], dtype=bool)
 
-    bad = sub.groupby(keys).map_groups(per_group, batch_format="pyarrow")
+    def sweep(block: pa.Table) -> pa.Table:
+        block = block.sort_by([(k, "ascending") for k in order],
+                              null_placement="at_end")
+        starts = _key_runs(block, keys)
+        sizes = np.diff(np.append(starts, block.num_rows))
+        bad = np.flatnonzero(violating(block, starts, sizes))
+        groups = block.take(pa.array(starts[bad], pa.int64())).select(keys)
+        groups = groups.append_column(
+            "actual_count", pa.array(sizes[bad], pa.int64()))
+        return _grouped_violation_rows(groups, cc, keys, spec, id_types)
 
-    return _violations_of(bad, cc, keys, spec, id_types)
+    def route(b: pa.Table) -> pa.Table:
+        if path_iri is not None:
+            b = b.filter(pc.fill_null(pc.equal(b["predicate"], path_iri),
+                                      False))
+        return _with_route_hash(b, keys)
+
+    routed = ds.select_columns(cols).map_batches(route,
+                                                 batch_format="pyarrow")
+    return _exchange(routed, sweep)
 
 
 def _sparql_value_cols(c) -> List[str]:
@@ -332,286 +345,178 @@ def _sparql_value_cols(c) -> List[str]:
     return cols
 
 
-def _monotone_metric_table(sel: pa.Table, keys: List[str], p) -> pa.Table:
-    """(keys, __metric__) for ``agg='monotone'`` over ONE bucket: the
-    count of violating order-runs per focus key, computed in one numpy
-    segment sweep across ALL groups in the bucket — no per-group
-    Python.  Mirrors :func:`xpshacl_ray.spec._monotone_violating_runs`
-    run for run: a run of equal order values violates when its min
-    value is below the max over strictly-smaller-order rows of the
-    same key."""
+def _predicate_metric(block: pa.Table, sizes: np.ndarray, p) -> np.ndarray:
+    """Per-group metric of :class:`~xpshacl_ray.spec.GroupPredicate` ``p``
+    over a block sorted into runs of ``sizes`` rows (one run per group,
+    ordered by ``order_col`` within a run for ``agg='monotone'``).  A
+    group whose filtered rows are empty gets 0, so ``< k`` minCount-style
+    forms see it."""
+    n = len(sizes)
+    seg = np.repeat(np.arange(n), sizes)
+    m = np.ones(block.num_rows, bool)
+    if p.where_col is not None:
+        m = pc.fill_null(pc.equal(block[p.where_col], p.where_val),
+                         False).to_numpy()
+    if p.agg == "count":
+        return np.bincount(seg[m], minlength=n)
+    v = block[p.agg_col].filter(pa.array(m))
+    if p.agg == "distinct":
+        # COUNT(DISTINCT) ignores null, as GroupPredicate.fn does
+        pairs = pa.table({"g": seg[m], "v": v}).filter(pc.is_valid(v))
+        pairs = pairs.group_by(["g", "v"]).aggregate([])
+        return np.bincount(pairs["g"].to_numpy(), minlength=n)
+    o = block[p.order_col].filter(pa.array(m))
+    return _monotone_metric(seg[m], _numeric(o), _numeric(v), n)
+
+
+def _numeric(col) -> np.ndarray:
+    """``col`` as numpy, temporal as int64 (order-isomorphic, so the
+    monotone metric is unchanged and stays on primitive kernels)."""
+    if pa.types.is_temporal(col.type):
+        col = pc.cast(col, pa.int64())
+    return col.to_numpy()
+
+
+def _monotone_metric(seg: np.ndarray, o: np.ndarray, v: np.ndarray,
+                     n: int) -> np.ndarray:
+    """``agg='monotone'`` for ``n`` groups in ONE numpy segment sweep:
+    rows are sorted by group ``seg`` then order ``o``.  Mirrors
+    :func:`xpshacl_ray.spec._monotone_violating_runs` run for run: a run
+    of equal order values violates when its min value is below the max
+    over strictly-smaller-order rows of the same group."""
     import pandas as pd
 
-    empty = pa.table({**{k: sel[k].slice(0, 0) for k in keys},
-                      "__metric__": pa.array([], pa.int64())})
-    if sel.num_rows == 0:
-        return empty
-    # temporal → int64 keeps the numpy sweep on primitive kernels
-    # (order-isomorphic, so the metric is unchanged)
-    cast_cols = {}
-    for cname in (p.order_col, p.agg_col):
-        typ = sel.schema.field(cname).type
-        if pa.types.is_temporal(typ):
-            cast_cols[cname] = pc.cast(sel[cname], pa.int64())
-    if cast_cols:
-        for cname, arr in cast_cols.items():
-            sel = sel.set_column(sel.schema.get_field_index(cname),
-                                 cname, arr)
-    df = sel.select(keys + [p.order_col, p.agg_col]).to_pandas()
-    df = df.sort_values(keys + [p.order_col], kind="mergesort",
-                        ignore_index=True)
-    o = df[p.order_col].to_numpy()
-    v = df[p.agg_col].to_numpy()
+    if len(seg) == 0:
+        return np.zeros(n, np.int64)
     if v.dtype.kind in ("O", "U", "S"):
         # strings → order-isomorphic int codes (np.unique sorts), so
         # reduceat/cummax stay on primitive C kernels
         _, v = np.unique(v, return_inverse=True)
-    new_seg = np.zeros(len(df), dtype=bool)
-    new_seg[0] = True
-    for k in keys:
-        col = df[k].to_numpy()
-        new_seg[1:] |= col[1:] != col[:-1]
-    new_run = new_seg.copy()
-    new_run[1:] |= o[1:] != o[:-1]
+    new_run = np.ones(len(seg), bool)
+    new_run[1:] = (seg[1:] != seg[:-1]) | (o[1:] != o[:-1])
     run_starts = np.flatnonzero(new_run)
     run_max = np.maximum.reduceat(v, run_starts)
     run_min = np.minimum.reduceat(v, run_starts)
-    seg_id_row = np.cumsum(new_seg) - 1
-    seg_of_run = seg_id_row[run_starts]
-    # per-segment shifted prefix max over runs (pandas cummax is the
+    seg_of_run = seg[run_starts]
+    # per-group shifted prefix max over runs (pandas cummax is the
     # C-vectorized segmented cumulative max)
     s = pd.Series(run_max)
     prev = s.groupby(seg_of_run).cummax().groupby(seg_of_run).shift(1)
     with np.errstate(invalid="ignore"):
         viol = run_min < prev.to_numpy()  # NaN/NaT prev → False
-    n_seg = int(seg_id_row[-1]) + 1
-    metric = np.bincount(seg_of_run[viol],
-                         minlength=n_seg).astype(np.int64)
-    seg_starts = np.flatnonzero(new_seg)
-    out = {}
-    for k in keys:
-        out[k] = pa.array(df[k].to_numpy()[seg_starts]).cast(
-            empty.schema.field(k).type)
-    out["__metric__"] = pa.array(metric, pa.int64())
-    return pa.table(out)
-
-
-def _evaluate_grouped_sparql_vectorized(
-    ds: "ray.data.Dataset",
-    cc: CompiledConstraint,
-    spec: CompiledSpec,
-    id_types: List[pa.DataType],
-) -> "ray.data.Dataset":
-    """Vectorized GroupedSparql for declarative predicates (VERDICT r3
-    item 5) — one :func:`_exchange` instead of Python-per-focus-group
-    ``map_groups``:
-
-    1. prune to keys + predicate columns and tag each row with the
-       routing hash ``__h__`` (many focus groups per block);
-    2. the exchange co-locates each key; per block, everything is Arrow
-       C kernels — per-key totals via ``group_by(keys).count_all``, the
-       metric via count / distinct-pair-then-count, a left-outer join
-       back to totals (absent-after-filter keys count 0, so ``< k``
-       minCount-style ops stay correct), one comparison kernel;
-    3. violating keys emit ``(keys, actual_count)`` rows into the same
-       grouped violation-row builder as the map_groups path — outputs
-       are row-for-row identical (pinned by the forcing test).
-
-    Partitioning bound: a block holds one sort range of the PRUNED
-    columns, and there are as many ranges as input blocks; the
-    per-focus-group Python floor is gone."""
-    c = cc.constraint
-    p = c.predicate
-    keys = list(c.group_by)
-    cols = keys + [x for x in _sparql_value_cols(c) if x not in keys]
-
-    def sweep(g: pa.Table) -> pa.Table:
-        tot = g.group_by(keys).aggregate([([], "count_all")])
-        sel = g
-        if p.where_col is not None:
-            sel = sel.filter(pc.equal(sel[p.where_col], p.where_val))
-        if p.agg == "count":
-            agg = sel.group_by(keys).aggregate([([], "count_all")])
-            metric_col = "count_all"
-        elif p.agg == "distinct":
-            pairs = sel.group_by(keys + [p.agg_col]).aggregate([])
-            agg = pairs.group_by(keys).aggregate([(p.agg_col, "count")])
-            metric_col = f"{p.agg_col}_count"
-        else:  # monotone: one numpy segment sweep over the whole block
-            agg = _monotone_metric_table(sel, keys, p)
-            metric_col = "__metric__"
-        # rebuild by NAME (group_by output column order is an Arrow
-        # implementation detail) and avoid a count_all name collision
-        agg = pa.table({**{k: agg[k] for k in keys},
-                        "__metric__": agg[metric_col]})
-        j = tot.join(agg, keys=keys, join_type="left outer")
-        metric = np.asarray(
-            pc.fill_null(pc.cast(j["__metric__"], pa.int64()), 0))
-        mask = np.asarray(p.compare(metric), dtype=bool)
-        bad = j.filter(pa.array(mask))
-        groups = pa.table({**{k: bad[k] for k in keys},
-                           "actual_count": bad["count_all"]})
-        return _grouped_violation_rows(groups, cc, keys, spec, id_types)
-
-    routed = ds.select_columns(cols).map_batches(
-        _with_route_hash, batch_format="pyarrow", fn_kwargs=dict(keys=keys))
-    return _exchange(routed, sweep)
+    return np.bincount(seg_of_run[viol], minlength=n)
 
 
 # ---------------------------------------------------------------------------
-# SiblingAntiJoin (C19 join form) — broadcast probe or bucketed anti-join
+# SiblingAntiJoin (C19 join form) — a bucketed anti-join on the pair key
 # ---------------------------------------------------------------------------
-
-#: per-worker memo of ray.get'd edge-pair sets, keyed by ObjectRef hex —
-#: one fetch per worker process, not one per focus group
-_SIBLING_PAIRS_CACHE: dict = {}
-
-
-def normalized_edge_pairs(edges: pa.Table) -> frozenset:
-    """Undirected ``(lo, hi)`` pair set of an edge table with
-    ``subject``/``object`` columns.  Direction-insensitive because
-    :class:`~xpshacl_ray.spec.SiblingAntiJoin` applies its two NOT
-    EXISTS filters in BOTH directions, so only unordered relatedness
-    matters."""
-    s, o = edges["subject"], edges["object"]
-    lo = pc.min_element_wise(s, o).to_pylist()
-    hi = pc.max_element_wise(s, o).to_pylist()
-    return frozenset((a, b) for a, b in zip(lo, hi)
-                     if a is not None and b is not None)
-
-
-def _sibling_pairs(ref):
-    if isinstance(ref, frozenset):  # driver-side / unit tests
-        return ref
-    key = ref.hex()
-    if key not in _SIBLING_PAIRS_CACHE:
-        import ray
-
-        _SIBLING_PAIRS_CACHE[key] = ray.get(ref)
-    return _SIBLING_PAIRS_CACHE[key]
-
-
-def sibling_fn(pairs_ref, c):
-    """Per-group violation fn for the BROADCAST plan of
-    :class:`~xpshacl_ray.spec.SiblingAntiJoin`: True iff some normalized
-    pair of the group's sibling set is absent from the edge-pair set.
-    ``pairs_ref`` is a ``ray.ObjectRef`` of :func:`normalized_edge_pairs`
-    output — ``ray.put`` ONCE on the driver, fetched once per worker
-    (module memo), never re-shipped per batch."""
-
-    def fn(g: pa.Table) -> bool:
-        S = c.sibling_set(g)
-        n = len(S)
-        if n < 2:
-            return False
-        pairs = _sibling_pairs(pairs_ref)
-        # S is sorted, so (S[i], S[j]) with i<j is already (lo, hi);
-        # sibling sets are data-model-bounded (values per subject), so
-        # the pair scan is tiny and early-exits on the first hit
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (S[i], S[j]) not in pairs:
-                    return True
-        return False
-
-    return fn
 
 
 def evaluate_sibling_join(
     ds: "ray.data.Dataset",
-    edges,
+    full,
     cc: CompiledConstraint,
     spec: CompiledSpec,
     id_types: Optional[List[pa.DataType]] = None,
 ) -> "ray.data.Dataset":
-    """Bucketed anti-join plan for SiblingAntiJoin — the scale path when
-    the edge relation exceeds ``edge_broadcast_limit`` (or ``=0`` forces
-    it, the path-parity test knob).
+    """Anti-join plan for :class:`~xpshacl_ray.spec.SiblingAntiJoin`:
+    three :func:`_exchange` passes reduced in Arrow, no driver-side edge
+    set and no per-subject Python.
 
-    No driver-side edge set at any point: candidate (lo, hi) pairs are
-    generated per focus group, unioned with the normalized edge pairs,
-    and co-partitioned by ONE ``groupby(["lo", "hi"])`` — a pair bucket
-    holding no edge row marks all its candidate subjects violating.  A
-    final tiny ``groupby(subject)`` dedupes subjects that violate via
-    several pairs.  Partitioning assumption: one (lo, hi) pair bucket
-    fits in a worker (bounded by duplicate-edge multiplicity, not corpus
-    size).  Per-bucket work is Python, so the broadcast plan stays the
-    default whenever the edge relation is TBox-sized.
+    1. on ``subject``: each focus subject's row count and its DISTINCT
+       ``path`` values (exclusions applied as masks) self-join into the
+       candidate ``(lo, hi)`` pairs with ``lo < hi``;
+    2. on ``(lo, hi)``: candidates against the normalized undirected
+       ``edge_pred`` pairs of the FULL graph — a candidate whose pair has
+       no edge row is unrelated in both directions;
+    3. on ``subject``: dedupe subjects that violate via several pairs.
 
-    ``edges``: Dataset or pa.Table of (subject, object) rows of
-    ``edge_pred`` over the FULL graph (not target-scoped — NOT EXISTS
-    consults the whole graph)."""
+    Partitioning assumption: one subject's pairs (quadratic in its
+    distinct ``path`` values, bounded by the data model) and one pair's
+    edge rows fit in a worker.
+
+    ``ds``: the target-scoped triples Dataset (focus nodes' own rows);
+    ``full``: Dataset or pa.Table of the FULL graph's
+    (subject, predicate, object) rows (NOT EXISTS consults every
+    triple)."""
     c = cc.constraint
     keys = list(c.group_by)
     id_types = _id_types(ds, spec, id_types)
+    excluded = pa.array(sorted(set(c.exclude)), pa.string())
+    # one row per candidate pair; an edge pair has a null subject
+    pair_schema = pa.schema([("lo", pa.string()), ("hi", pa.string()),
+                             ("subject", pa.string()),
+                             ("n_rows", pa.int64())])
 
-    pair_schema = pa.schema([
-        ("lo", pa.string()), ("hi", pa.string()),
-        ("subject", pa.string()), ("n_rows", pa.int64()),
-        ("is_edge", pa.int64()),
-    ])
+    def focus_rows(b: pa.Table) -> pa.Table:
+        # per-batch combiner: one (subject, null, count) row per subject
+        # plus one (subject, value, 0) row per distinct sibling value
+        b = b.filter(pc.is_valid(b["subject"]))
+        tot = b.group_by(["subject"]).aggregate([([], "count_all")])
+        m = pc.and_(pc.equal(b["predicate"], c.path),
+                    pc.is_valid(b["object"]))
+        m = pc.and_(m, pc.invert(pc.is_in(b["object"], value_set=excluded)))
+        if c.exclude_self:
+            m = pc.and_(m, pc.not_equal(b["object"], b["subject"]))
+        vals = b.filter(pc.fill_null(m, False)).group_by(
+            ["subject", "object"]).aggregate([])
+        return _with_route_hash(pa.concat_tables([
+            pa.table({"subject": tot["subject"],
+                      "object": pa.nulls(tot.num_rows, b["object"].type),
+                      "n_rows": pc.cast(tot["count_all"], pa.int64())}),
+            pa.table({"subject": vals["subject"], "object": vals["object"],
+                      "n_rows": pa.array(np.zeros(vals.num_rows, np.int64))}),
+        ]), ["subject"])
 
-    def pairs_of(g: pa.Table) -> pa.Table:
-        S = c.sibling_set(g)
-        n = len(S)
-        if n < 2:
-            return pair_schema.empty_table()
-        subj = g["subject"][0].as_py()
-        lo: List[str] = []
-        hi: List[str] = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                lo.append(S[i])
-                hi.append(S[j])
-        k = len(lo)
-        return pa.table(
-            {"lo": lo, "hi": hi, "subject": [subj] * k,
-             "n_rows": [g.num_rows] * k, "is_edge": [0] * k},
-            schema=pair_schema)
-
-    cand = (ds.select_columns(["subject", "predicate", "object"])
-            .groupby("subject").map_groups(pairs_of, batch_format="pyarrow"))
-
-    if isinstance(edges, pa.Table):
-        edges = ray.data.from_arrow(edges)
+    def candidate_pairs(g: pa.Table) -> pa.Table:
+        n = g.group_by(["subject"]).aggregate([("n_rows", "sum")])
+        vals = g.filter(pc.is_valid(g["object"])).group_by(
+            ["subject", "object"]).aggregate([])
+        lo = pa.table({"subject": vals["subject"], "lo": vals["object"]})
+        hi = pa.table({"subject": vals["subject"], "hi": vals["object"]})
+        pr = lo.join(hi, "subject")
+        pr = pr.filter(pc.less(pr["lo"], pr["hi"])).join(n, "subject")
+        return _with_route_hash(pa.table(
+            {"lo": pr["lo"], "hi": pr["hi"], "subject": pr["subject"],
+             "n_rows": pr["n_rows_sum"]}, schema=pair_schema), ["lo", "hi"])
 
     def edge_rows(b: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.is_valid(b["subject"]), pc.is_valid(b["object"]))
-        b = b.filter(keep)
-        k = b.num_rows
-        return pa.table(
-            {"lo": pc.min_element_wise(b["subject"], b["object"]),
-             "hi": pc.max_element_wise(b["subject"], b["object"]),
-             "subject": pa.array([""] * k, pa.string()),
-             "n_rows": pa.array([0] * k, pa.int64()),
-             "is_edge": pa.array([1] * k, pa.int64())},
-            schema=pair_schema)
+        b = b.filter(pc.fill_null(pc.equal(b["predicate"], c.edge_pred),
+                                  False))
+        b = b.filter(pc.and_(pc.is_valid(b["subject"]),
+                             pc.is_valid(b["object"])))
+        e = pa.table({"lo": pc.min_element_wise(b["subject"], b["object"]),
+                      "hi": pc.max_element_wise(b["subject"], b["object"])})
+        e = e.group_by(["lo", "hi"]).aggregate([])
+        k = e.num_rows
+        return _with_route_hash(pa.table(
+            {"lo": e["lo"], "hi": e["hi"],
+             "subject": pa.nulls(k, pa.string()),
+             "n_rows": pa.array(np.zeros(k, np.int64))},
+            schema=pair_schema), ["lo", "hi"])
 
-    edge_pairs = edges.map_batches(edge_rows, batch_format="pyarrow")
-
-    bad_schema = pa.schema([("subject", pa.string()),
-                            ("n_rows", pa.int64())])
-
-    def bucket(g: pa.Table) -> pa.Table:
-        if pc.any(pc.equal(g["is_edge"], 1)).as_py():
-            return bad_schema.empty_table()
-        return g.select(["subject", "n_rows"])
-
-    viol_pairs = (cand.union(edge_pairs).groupby(["lo", "hi"])
-                  .map_groups(bucket, batch_format="pyarrow"))
-
-    out_schema = pa.schema([("subject", pa.string()),
-                            ("actual_count", pa.int64())])
+    def unrelated(g: pa.Table) -> pa.Table:
+        edge = g.filter(pc.is_null(g["subject"])).select(["lo", "hi"])
+        cand = g.filter(pc.is_valid(g["subject"]))
+        bad = cand.join(edge, keys=["lo", "hi"], join_type="left anti")
+        return _with_route_hash(bad.select(["subject", "n_rows"]),
+                                ["subject"])
 
     def dedupe(g: pa.Table) -> pa.Table:
-        return pa.table({"subject": [g["subject"][0].as_py()],
-                         "actual_count": [g["n_rows"][0].as_py()]},
-                        schema=out_schema)
+        agg = g.group_by(["subject"]).aggregate([("n_rows", "max")])
+        groups = pa.table({"subject": agg["subject"],
+                           "actual_count": agg["n_rows_max"]})
+        return _grouped_violation_rows(groups, cc, keys, spec, id_types)
 
-    bad = viol_pairs.groupby("subject").map_groups(
-        dedupe, batch_format="pyarrow")
-
-    return _violations_of(bad, cc, keys, spec, id_types)
+    if isinstance(full, pa.Table):
+        full = ray.data.from_arrow(full)
+    triples = ["subject", "predicate", "object"]
+    cand = _exchange(ds.select_columns(triples).map_batches(
+        focus_rows, batch_format="pyarrow"), candidate_pairs)
+    edges = full.select_columns(triples).map_batches(
+        edge_rows, batch_format="pyarrow")
+    bad = _exchange(cand.union(edges), unrelated)
+    return _exchange(bad, dedupe)
 
 
 def evaluate_node_isolation(
