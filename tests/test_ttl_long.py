@@ -6,6 +6,8 @@ natively; /root/reference/data/shark_shapes.ttl:170-199 uses
 maxCount/minCount/class, data/synthetic_data_generator.py:97-120 uses
 languageIn/nodeKind)."""
 
+import os
+
 import pyarrow as pa
 import pytest
 
@@ -22,6 +24,18 @@ from xpshacl_ray.sources.ttl import (
 )
 
 EX = "http://example.org/"
+REF_DIR = "/root/reference/data"
+REF_DATA = os.path.join(REF_DIR, "example_data.ttl")
+REF_SHAPES = os.path.join(REF_DIR, "example_shapes.ttl")
+REF_SHARK = os.path.join(REF_DIR, "shark_shapes.ttl")
+REF_ONTOLOGY = os.path.join(REF_DIR, "xpshacl_ontology.ttl")
+
+
+def needs_fixture(path):
+    """Skip where the reference checkout's fixture ``path`` is absent."""
+    return pytest.mark.skipif(not os.path.exists(path),
+                              reason=f"reference fixture {path} absent")
+
 
 SHAPES = """
 @prefix sh: <http://www.w3.org/ns/shacl#> .
@@ -192,6 +206,8 @@ def test_validate_ttl_union_with_long_form(tmp_path, ray_session):
         req["focus_node"]) == {EX + "w3"}
 
 
+@needs_fixture(REF_DATA)
+@needs_fixture(REF_SHAPES)
 def test_reference_fixtures_unchanged_by_long_form(ray_session):
     # the reference README example has no long-form shapes: long_form=True
     # must be a no-op on it (parity goldens stay valid)
@@ -205,6 +221,8 @@ def test_reference_fixtures_unchanged_by_long_form(ray_session):
         map(tuple, long[key].values.tolist()))
 
 
+@needs_fixture(REF_SHARK)
+@needs_fixture(REF_ONTOLOGY)
 def test_long_form_on_reference_shark_fixtures(ray_session):
     # shark_shapes' long-form constraints over the reference's OWN
     # ontology: the 10 xsh property ranges are xsd datatypes / rdfs
