@@ -2,6 +2,7 @@
 ``stages/grouped.py`` checked against DuckDB's ``GROUP BY ... HAVING``
 and Counter oracles."""
 
+import bisect
 import dataclasses
 import json
 from collections import Counter
@@ -15,12 +16,13 @@ import ray.data
 from ray.data import DataContext
 
 from xpshacl_ray.spec import (GroupedSparql, GroupPredicate, MaxCount,
-                              MinCount, NodeIsolation, ValidationSpec,
-                              compile_spec)
+                              MinCount, NodeIsolation, SiblingAntiJoin,
+                              ValidationSpec, compile_spec)
 from xpshacl_ray.stages import grouped
 from xpshacl_ray.stages.grouped import (_evaluate_grouped_sparql,
                                         evaluate_grouped,
-                                        evaluate_node_isolation)
+                                        evaluate_node_isolation,
+                                        evaluate_sibling_join)
 
 BIG = 2**60 + 1  # corrupts to 1.152921504606847e+18 under float64
 
@@ -66,8 +68,9 @@ def test_grouped_keys_matches_duckdb_with_int64_and_null_keys():
 
 
 # ---------------------------------------------------------------------------
-# The exchange: rows routed by ``sort("__h__")``, reduced per block in
-# Arrow, checked against Counter/set oracles or the per-group fn twin.
+# The exchange: rows routed by ``sort("__h__")`` over k fixed hash ranges,
+# reduced per block in Arrow, checked against Counter/set oracles or the
+# per-group fn twin.
 # ---------------------------------------------------------------------------
 
 
@@ -174,6 +177,114 @@ def test_forced_collision_keeps_output(monkeypatch):
         ray.cloudpickle.unregister_pickle_by_value(grouped)
     assert len(blocks) == 1  # the collision really co-located every key
     assert _counts(blocks) == want
+
+
+def test_exchange_boundaries_cut_equal_ranges():
+    for k in (1, 2, 3, 8):
+        b = grouped._exchange_boundaries(k)
+        assert b == grouped._exchange_boundaries(k) == sorted(b)
+        assert len(b) == max(1, k - 1)
+        assert all(-2**63 <= x < 2**63 for x in b)
+    assert grouped._exchange_boundaries(1) == [-2**63]
+    assert grouped._exchange_boundaries(2) == [0]
+    edges = [-2**63] + grouped._exchange_boundaries(8) + [2**63]
+    assert set(np.diff(edges).tolist()) == {2**61}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_exchange_layout_is_fixed_by_k(k, monkeypatch):
+    """Each routed block holds one hash range, at most k blocks hold
+    rows, and a second run yields the same blocks."""
+    rng = np.random.default_rng(k)
+    h = np.append(rng.integers(-2**63, 2**63 - 1, 3000, dtype=np.int64),
+                  [-2**63, 2**63 - 1, 0, -1])
+    t = pa.table({"__h__": h, "x": h})
+    ds = ray.data.from_arrow([t.slice(i * 151, 151) for i in range(20)])
+    monkeypatch.setattr(grouped, "_exchange_partitions", lambda: k)
+
+    def span(b):
+        return pa.table({"lo": [b["x"][0].as_py()],
+                         "hi": [b["x"][-1].as_py()], "n": [b.num_rows]})
+
+    def layout():
+        out = grouped._exchange(ds, span).take_all()
+        return sorted((r["lo"], r["hi"], r["n"]) for r in out if r["n"])
+
+    first = layout()
+    assert first == layout()
+    assert len(first) <= k
+    assert sum(n for _, _, n in first) == t.num_rows
+    edges = [-2**63] + grouped._exchange_boundaries(k) + [2**63]
+    for lo, hi, _ in first:
+        assert bisect.bisect(edges, lo) == bisect.bisect(edges, hi)
+
+
+def _sibling_case():
+    """Focus triples and the full graph for a SiblingAntiJoin: subject
+    ``c{i}`` has ``p`` values among ``n{i}/0..4``, related by ``e``."""
+    rng = np.random.default_rng(4)
+    focus, edges = [], []
+    for i in range(40):
+        nodes = [f"n{i}/{j}" for j in range(5)]
+        focus += [(f"c{i}", "p", o) for o in rng.choice(nodes, 3)]
+        focus.append((f"c{i}", "q", None))
+        edges += [(a, "e", b) for a, b in zip(rng.choice(nodes, 4),
+                                                rng.choice(nodes, 4))]
+
+    def table(rows):
+        return pa.table({c: pa.array([r[i] for r in rows], pa.string())
+                         for i, c in enumerate(("subject", "predicate",
+                                                "object"))})
+
+    ft = table(focus)
+    return (ray.data.from_arrow([ft.slice(i * 16, 16) for i in range(10)]),
+            table(focus + edges))
+
+
+@pytest.mark.parametrize("plan", ["max_count", "grouped_sparql",
+                                  "sibling_antijoin"])
+def test_exchange_output_is_independent_of_k(plan, monkeypatch):
+    if plan == "max_count":
+        t = _keyed_rows()
+        ds = ray.data.from_arrow([t.slice(i * 50, 50) for i in range(40)])
+        spec = compile_spec(ValidationSpec(
+            constraints=[CARDINALITY[0][0]], id_columns=["k", "j"],
+            focus_template="g:{k}/{j}"))
+
+        def run():
+            (part,) = evaluate_grouped(ds, spec)
+            return part
+    elif plan == "grouped_sparql":
+        t = pa.table({"subject": [f"s{i % 23}" if i % 31 else None
+                                  for i in range(600)],
+                      "predicate": ["p", "q", "p"] * 200,
+                      "object": [f"o{i % 7}" for i in range(600)]})
+        ds = ray.data.from_arrow([t.slice(i * 60, 60) for i in range(10)])
+        spec = _sparql_spec(GroupPredicate(agg="distinct", agg_col="object",
+                                           op=">=", value=4))
+
+        def run():
+            return _evaluate_grouped_sparql(ds, spec.grouped[0], spec)
+    else:
+        ds, full = _sibling_case()
+        spec = compile_spec(ValidationSpec(
+            constraints=[SiblingAntiJoin(path="p", edge_pred="e",
+                                         group_by=["subject"],
+                                         columns=["predicate", "object"])],
+            id_columns=["subject"], focus_template="{subject}"))
+
+        def run():
+            return evaluate_sibling_join(ds, full, spec.grouped[0], spec)
+
+    outs = []
+    for k in (1, 2, 3, 8):
+        monkeypatch.setattr(grouped, "_exchange_partitions", lambda k=k: k)
+        outs.append(_sorted_table(run()))
+    assert outs[0].num_rows > 0
+    for got in outs[1:]:
+        assert got.equals(outs[0])
+    if plan == "max_count":
+        assert _counts([outs[0]]) == _oracle(t, CARDINALITY[0][1])
 
 
 def _fn_twin(spec):

@@ -83,6 +83,21 @@ def test_representative_is_independent_of_the_block_split():
         assert got.equals(want), len(tables)
 
 
+def test_unique_signatures_of_a_lazy_dataset_equal_the_materialized():
+    tables = [pa.Table.from_pylist(b, schema=SCHEMA)
+              for b in ([ROWS[:3], ROWS[3:7], ROWS[7:]])]
+    lazy = ray.data.from_arrow(tables).map_batches(lambda b: b,
+                                                   batch_format="pyarrow")
+    eng = ValidationEngine(spec())
+
+    def table(ds):
+        return pa.Table.from_pylist(ds.take_all(), schema=SCHEMA)
+
+    got = table(eng.unique_signatures(lazy))
+    assert got.equals(table(eng.unique_signatures(lazy.materialize())))
+    assert got.equals(reference_pick(ROWS))
+
+
 def test_empty_input_keeps_the_violation_schema():
     empty = VIOLATION_SCHEMA.empty_table()
     assert first_per_signature(empty).schema == VIOLATION_SCHEMA

@@ -94,6 +94,39 @@ def test_salted_profile_is_deterministic():
     assert np.allclose(salted["x_p50"], plain["x_p50"], rtol=0.02)
 
 
+@pytest.mark.parametrize("blocks", [1, 40])
+@pytest.mark.parametrize("first_key_null", [True, False])
+def test_profile_null_group_key_matches_duckdb(blocks, first_key_null):
+    """A null string key is one group of its own, as under SQL GROUP BY,
+    whether or not the first row's key is null and however the partial
+    sketch rows are split into blocks."""
+    import duckdb
+
+    n, off = 400, 0 if first_key_null else 3
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=n)
+    t = pa.table({
+        "g": pa.array([None if i % 7 == off else f"k{i % 5}"
+                       for i in range(n)], pa.string()),
+        "x": pa.array(x, mask=np.arange(n) % 11 == 0),
+    })
+    cfg = StatsConfig(group_keys=["g"], numeric_cols=["x"])
+    step = n // blocks
+    ds = ray.data.from_arrow([t.slice(i * step, step)
+                              for i in range(blocks)])
+    # one partial sketch row per (group, block), merged across blocks
+    got = profile(ds, cfg, batch_size=step)
+    want = duckdb.sql("SELECT g, count(*) AS n, count(*) - count(x) AS "
+                      "nulls, min(x) AS lo, max(x) AS hi FROM t "
+                      "GROUP BY g").arrow().to_pylist()
+    assert len(got) == len(want) == 6
+    have = {r["g"]: r for r in got.to_dict("records")}
+    for w in want:
+        r = have[w["g"]]
+        assert (r["n_rows"], r["x_nulls"]) == (w["n"], w["nulls"])
+        assert (r["x_min"], r["x_max"]) == pytest.approx((w["lo"], w["hi"]))
+
+
 def test_drift_self_passes_shifted_fails(docs_ds):
     ref = sketch_rows(docs_ds, CFG).to_pandas()
     # self vs self → pass

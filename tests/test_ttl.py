@@ -121,9 +121,9 @@ def test_run_ttl_explainable_end_to_end(tmp_path):
     assert (tmp_path / "out" / "report").exists()
 
 
-def test_run_ttl_on_inline_turtle(tmp_path):
-    from xpshacl_ray.sources.ttl import run_ttl
-
+def _inline_turtle(tmp_path):
+    """(data, shapes) Turtle files: four Person rows, three of them
+    violating minCount or minInclusive."""
     shapes = tmp_path / "shapes.ttl"
     shapes.write_text("""
 @prefix sh: <http://www.w3.org/ns/shacl#> .
@@ -144,6 +144,13 @@ ex:p2 a ex:Person ; ex:hasAge 5 .
 ex:p3 a ex:Person ; ex:hasName "C" ; ex:hasAge -3 .
 ex:p4 a ex:Person ; ex:hasName "D" ; ex:hasAge 40 .
 """)
+    return data, shapes
+
+
+def test_run_ttl_on_inline_turtle(tmp_path):
+    from xpshacl_ray.sources.ttl import run_ttl
+
+    data, shapes = _inline_turtle(tmp_path)
     res = run_ttl(str(data), str(shapes), languages=["en", "de"],
                   kg_path=str(tmp_path / "kg.parquet"),
                   out_dir=str(tmp_path / "out"))
@@ -165,6 +172,24 @@ ex:p4 a ex:Person ; ex:hasName "D" ; ex:hasAge 40 .
     for _, r in report.iterrows():
         assert by_sig[(r["signature_key"], "en")] == r["explanation_en"]
     assert (tmp_path / "out" / "report").exists()
+
+
+def test_run_ttl_parses_the_data_file_once(tmp_path, monkeypatch):
+    from xpshacl_ray.sources import ttl
+
+    data, shapes = _inline_turtle(tmp_path)
+    parsed = []
+    load = ttl.load_turtle
+
+    def counting_load(path):
+        parsed.append(path)
+        return load(path)
+
+    monkeypatch.setattr(ttl, "load_turtle", counting_load)
+    res = ttl.run_ttl(str(data), str(shapes), languages=["en"],
+                      kg_path=str(tmp_path / "kg.parquet"))
+    assert res["report"].count() == 4
+    assert parsed.count(str(data)) == 1
 
 
 @needs_fixture(REF_DATA)

@@ -1,6 +1,7 @@
 """``ValidationEngine.validate`` and ``report`` contracts: the eager
-missing-column check, how many times the input is scanned, and the Arrow
-fan-out join of explanations onto violations."""
+missing-column check, how many times the input is scanned, how many Ray
+Data executions one ``run`` starts, and the Arrow fan-out join of
+explanations onto violations."""
 
 import os
 import time
@@ -13,7 +14,7 @@ import ray.data
 from xpshacl_ray.pipelines.code_files import build_engine
 from xpshacl_ray.pipelines.validate import ValidationEngine
 from xpshacl_ray.sources.fixtures import generate_code_files
-from xpshacl_ray.sources.ingest import add_lineage_columns
+from xpshacl_ray.sources.ingest import add_lineage_columns, read_code_table
 from xpshacl_ray.spec import MaxCount, Required, ValidationSpec
 from xpshacl_ray.stages.referential import distinct_keys
 
@@ -78,6 +79,37 @@ def test_validate_scans_input_at_most_twice(tmp_path):
     os.remove(log_path)
     assert viol.materialize().count() > 0
     assert _rows_logged(log_path) <= 2 * fx.table.num_rows
+
+
+def test_run_starts_at_most_four_executions(tmp_path, monkeypatch):
+    """One ``run``: the schema probe, the referenced keys, validate and
+    the report write.  Signature dedup runs as plain tasks over the
+    materialized violation blocks and starts none."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    fx = generate_code_files(1200, seed=1)
+    src, commits = str(tmp_path / "code.parquet"), str(tmp_path / "c.parquet")
+    pq.write_table(fx.table, src, row_group_size=300)
+    pq.write_table(fx.commits, commits)
+    engine = build_engine(kg_path=str(tmp_path / "kg.parquet"))
+    starts = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        starts.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    out = str(tmp_path / "report")
+    res = engine.run(read_code_table(src),
+                     ref_datasets={"commit": ray.data.read_parquet(commits)},
+                     out_dir=out)
+    assert 0 < len(starts) <= 4
+    monkeypatch.undo()
+    n = res["violations"].count()
+    assert n > 0
+    assert pq.read_table(out).num_rows == n
 
 
 def _dict_join(violations: pa.Table, explanations: pa.Table, languages):

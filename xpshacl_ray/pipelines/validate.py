@@ -3,12 +3,14 @@
 Engine equivalent of the reference's ``main.py`` lifecycle::
 
     driver: compile constraint spec                       # ST1
+    keys  = merge(pc.unique per ref block)                # C4 key set
     viol  = ds.map_batches(evaluate_row_local)            # C1..C20 fused (E1)
-            ∪ grouped checks (C1/C2/C11: partials.sort(__h__)
-                              .map_batches(arrow_sweep), shuffle #1)
-            ∪ referential checks (C4, broadcast anti-join)
+            ∪ grouped checks (C1/C2/C11: partials.sort(__h__,
+                              k fixed ranges).map_batches(arrow_sweep))
+            ∪ referential checks (C4, broadcast anti-join on keys)
             .materialize()
-    sigs  = first_per_signature(∪ viol.map_batches(first_per_signature))
+    sigs  = first_per_signature(∪ first_per_signature.remote(block)
+                                  for block in viol.to_arrow_refs())
                                                           # G2 exact dedup
     sigs  = add_enrichment(sigs)                          # E2-E7, X1-X5
     expl  = ExplainerActor(kg_path)(sigs)                 # G4/G5/N1-N3
@@ -18,9 +20,13 @@ Engine equivalent of the reference's ``main.py`` lifecycle::
 The per-signature expensive work (trees, context, explanation) runs on the
 small deduped signature table — never per violation instance — exactly the
 reference's "first instance is representative" semantics (main.py:139-211).
-Only the per-block dedup runs as Ray tasks; it returns at most one row per
-signature and block, and the merge, enrichment and explanation of those
-few rows run in the driver process, with the KG cache loaded once there.
+Only the per-block dedup runs as Ray tasks, one plain task per
+materialized violation block; it returns at most one row per signature
+and block, and the merge, enrichment and explanation of those few rows
+run in the driver process, with the KG cache loaded once there.  One
+``run`` thus starts four Ray Data executions: the schema probe in
+``validate``, the referenced key set, the violations, and the report
+write.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from ..context import ContextRetriever, DomainRule
 from ..explain import DEFAULT_MODEL, ExplainerActor
@@ -69,12 +76,22 @@ def first_per_signature(batch: pa.Table) -> pa.Table:
     return ordered.take(firsts["pos_min"])
 
 
+@ray.remote
+def _first_per_signature_task(block: pa.Table) -> pa.Table:
+    return first_per_signature(block)
+
+
 def unique_signature_table(violations: "ray.data.Dataset") -> pa.Table:
-    """:func:`first_per_signature` per block in Ray tasks, then once more
-    on the driver over the at most K rows each block returns."""
-    partials = ray.get(violations.map_batches(
-        first_per_signature, batch_format="pyarrow", batch_size=None,
-    ).to_arrow_refs())
+    """:func:`first_per_signature` as one Ray task per block, then once
+    more on the driver over the at most K rows each block returns.
+
+    The blocks are those of the materialized ``violations`` (a lazy
+    Dataset is materialized first), so the per-block pass starts no Ray
+    Data execution of its own."""
+    if not isinstance(violations, MaterializedDataset):
+        violations = violations.materialize()
+    partials = ray.get([_first_per_signature_task.remote(ref)
+                        for ref in violations.to_arrow_refs()])
     tables = [t for t in partials if t.num_rows]
     if tables:
         return first_per_signature(pa.concat_tables(

@@ -2829,7 +2829,6 @@ def run_ttl(
     on).  Writes partitioned Parquet under ``out_dir`` if given."""
     from ..pipelines.validate import ValidationEngine
 
-    data_triples, _ = load_turtle(data_path)
     shape_triples, _ = load_turtle(shapes_path)
     specs = shapes_to_specs(shape_triples)
     if not specs:

@@ -11,7 +11,8 @@ wide `content` column never enters the exchange.
 
 Every plan here co-locates keys one way, :func:`_exchange`: each row
 carries ``__h__``, the int64 view of the composite key hash;
-``sort("__h__")`` puts equal keys in one block, and one
+``sort("__h__")`` over k fixed, equal hash ranges (k = the cluster's
+CPU count) puts equal keys in one block, and one
 ``map_batches(batch_size=None)`` call per block reduces it in Arrow on
 the FULL key columns.  The hash only routes, so a collision co-locates
 two keys and nothing else: results stay exact.  A null key is a group of
@@ -56,16 +57,39 @@ def _with_route_hash(t: pa.Table, keys: List[str]) -> pa.Table:
     return t.append_column("__h__", pa.array(h.view(np.int64)))
 
 
+def _exchange_partitions() -> int:
+    """k, the number of ``__h__`` ranges of one exchange: the cluster's
+    CPU count, at least 1."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def _exchange_boundaries(k: int) -> List[int]:
+    """The k-1 evenly spaced int64 boundaries that cut ``__h__`` into k
+    equal ranges.  For k = 1, one boundary at the int64 minimum: given no
+    boundaries Ray would sample, and the range below the minimum is
+    empty."""
+    lo = -2**63
+    return [lo + i * 2**64 // k for i in range(1, k)] or [lo]
+
+
 def _exchange(ds: "ray.data.Dataset",
               reduce: Callable[[pa.Table], pa.Table]) -> "ray.data.Dataset":
     """Route rows carrying ``__h__`` so equal hashes share one block, then
-    ``reduce`` each whole block (``__h__`` dropped) in one Arrow call."""
+    ``reduce`` each whole block (``__h__`` dropped) in one Arrow call.
+
+    The routing sort cuts ``__h__`` at :func:`_exchange_boundaries` for
+    k = :func:`_exchange_partitions`, the cluster's CPU count.  The hash
+    is a uniform 64-bit fold, so equal ranges balance the load without
+    sampling, and the layout depends on k alone.  k is fixed at plan
+    time, not sized from the partials: an estimate of their distinct
+    keys or bytes would cost an execution before the sort."""
 
     def sweep(block: pa.Table) -> pa.Table:
         return reduce(block.drop_columns(["__h__"]))
 
-    return ds.sort("__h__").map_batches(sweep, batch_format="pyarrow",
-                                        batch_size=None)
+    bounds = _exchange_boundaries(_exchange_partitions())
+    return ds.sort("__h__", boundaries=bounds).map_batches(
+        sweep, batch_format="pyarrow", batch_size=None)
 
 
 def partial_group_counts(batch: pa.Table, keys: List[str],
@@ -281,8 +305,8 @@ def _evaluate_grouped_sparql(
       over the block's runs (:func:`_predicate_metric`) — no
       per-focus-group Python.
 
-    Partitioning bound: a block holds one sort range of the PRUNED
-    columns, and there are as many ranges as input blocks."""
+    Partitioning bound: a block holds one hash range of the PRUNED
+    columns, and there are as many ranges as cluster CPUs."""
     id_types = _id_types(ds, spec, id_types)
     c = cc.constraint
     p = c.predicate

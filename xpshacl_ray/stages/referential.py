@@ -12,7 +12,9 @@ There is no separate referential stage: ``ValidationEngine.validate`` fuses
 over the input.  This module builds what gets broadcast — the exact key set
 (:func:`distinct_keys`, :func:`conforming_keys`) or, for dimension sides too
 big to ship exactly, a Bloom filter (:func:`bloom_keys`,
-:func:`conforming_bloom`).
+:func:`conforming_bloom`).  Either is built in one streamed pass with no
+exchange: per-block partials (``pc.unique`` or a partial filter) merge on
+the driver, which holds the broadcast value anyway.
 """
 
 from __future__ import annotations
@@ -27,17 +29,26 @@ import ray.data
 
 
 def distinct_keys(ref_ds: "ray.data.Dataset", column: str) -> pa.Array:
-    """Distinct key values of the referenced column (small-side only).
+    """Distinct non-null values of the referenced column, sorted."""
+    return _merged_unique(ref_ds.select_columns([column]), column)
 
-    Pre-aggregates per batch before the distinct shuffle so only unique
-    values per block move.
-    """
-    uniq_per_batch = ref_ds.select_columns([column]).map_batches(
-        lambda b: b.group_by([column]).aggregate([]),
-        batch_format="pyarrow",
-    )
-    vals = uniq_per_batch.unique(column)
-    return pa.array(sorted(v for v in vals if v is not None))
+
+def _merged_unique(ds: "ray.data.Dataset", column: str) -> pa.Array:
+    """Distinct non-null values of ``column`` over ``ds``, sorted, in the
+    column's own Arrow type: ``pc.unique`` per block in one
+    ``map_batches``, streamed to the driver and merged there with
+    ``pc.unique`` once more.  The result is broadcast to every scan task
+    anyway, so it must fit on the driver; no exchange is needed."""
+    def block_unique(b: pa.Table) -> pa.Table:
+        return pa.table({column: pc.unique(b[column])})
+
+    parts = [b[column] for b in ds.map_batches(
+        block_unique, batch_format="pyarrow", batch_size=None,
+    ).iter_batches(batch_format="pyarrow", batch_size=None) if b.num_columns]
+    if not parts:
+        return pa.array([])
+    vals = pc.unique(pa.chunked_array(parts)).drop_null()
+    return vals.take(pc.array_sort_indices(vals))
 
 
 @dataclass
@@ -98,13 +109,11 @@ def conforming_keys(dim_ds: "ray.data.Dataset", key_column: str,
 
     Engine-wide SHACL null policy applies: a NULL facet value never
     violates a value constraint (zero-valued rows are minCount /
-    Required's job), so such rows still conform.  Per-batch distinct
-    pre-aggregation runs before the small ``unique()`` exchange — only
-    unique keys per block move."""
-    vals = dim_ds.map_batches(
+    Required's job), so such rows still conform.  Keys are merged as in
+    :func:`distinct_keys`."""
+    return _merged_unique(dim_ds.map_batches(
         _conforming_filter(key_column, constraints),
-        batch_format="pyarrow").unique(key_column)
-    return pa.array(sorted(v for v in vals if v is not None))
+        batch_format="pyarrow"), key_column)
 
 
 def _conforming_filter(key_column: str, constraints: list):

@@ -2,16 +2,16 @@
 
 North-star stage (SURVEY.md ST5): count / null-rate / distinct-HLL /
 t-digest quantiles / categorical histograms computed in a SINGLE streaming
-pass by a stateful actor pool, then merged through groupby-aggregate
-shuffles keyed on the profile keys (e.g. ``(repo, lang)``), with optional
+pass by a stateful actor pool, then merged through hash-routed exchanges
+keyed on the profile keys (e.g. ``(repo, lang)``), with optional
 salted two-level merging to defuse mega-repo skew (sketches are mergeable,
 so the two-level merge is exact-enough by design — SURVEY.md §4).
 
 Dataflow::
 
     ds.map_batches(StatsActor(cfg), concurrency=N)     # partial sketch rows
-      [.groupby(keys + [salt]).map_groups(merge)]      # optional pre-merge
-      .groupby(keys).map_groups(merge)                 # final sketch rows
+      [_exchange on (keys, salt) → merge runs]         # optional pre-merge
+      _exchange on keys → merge runs                   # final sketch rows
       → finalize → stats rows (quantiles, estimates)   # tiny table
       → drift vs reference profile → verdicts
 
@@ -40,6 +40,7 @@ from ..functions.sketches import (
     ks_statistic,
     psi,
 )
+from .grouped import _exchange, _key_runs, _with_route_hash
 
 QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.99)
 
@@ -95,8 +96,7 @@ class StatsActor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
-        rows: Dict[str, list] = {k: [] for k in cfg.group_keys}
-        rows["n_rows"] = []
+        rows: Dict[str, list] = {"n_rows": []}
         for c in cfg.numeric_cols:
             rows[f"{c}__nulls"] = []
             rows[f"{c}__tdigest"] = []
@@ -105,15 +105,21 @@ class StatsActor:
             rows[f"{c}__hist"] = []
         for c in cfg.distinct_cols:
             rows[f"{c}__hll"] = []
-        # segment ONCE (C-backed .indices) — only the GROUP-KEY columns go
-        # through pandas; value columns are extracted straight from Arrow
-        # (avoids the DataFrame copy the judge flagged on wide batches)
-        if cfg.group_keys:
-            gk = batch.select(list(cfg.group_keys)).to_pandas()
-            idx_map = gk.groupby(list(cfg.group_keys), sort=False,
-                                 dropna=False).indices
+        # segment ONCE with an Arrow group_by on the key columns: keys keep
+        # their type (an int64 key is not widened to float64) and a null
+        # key is a group of its own, as under SQL GROUP BY
+        keys = list(cfg.group_keys)
+        rowid = pa.array(np.arange(len(batch), dtype=np.int64))
+        if keys:
+            seg = (batch.select(keys).append_column("__row__", rowid)
+                   .group_by(keys, use_threads=False)
+                   .aggregate([("__row__", "list")]))
+            lists = seg["__row___list"].combine_chunks()
+            flat = lists.values.to_numpy()
+            offs = lists.offsets.to_numpy()
+            groups = [flat[a:b] for a, b in zip(offs[:-1], offs[1:])]
         else:
-            idx_map = {(): np.arange(len(batch))}
+            seg, groups = pa.table({}), [rowid.to_numpy()]
 
         def _obj(col):
             arr = (col.combine_chunks()
@@ -137,11 +143,7 @@ class StatsActor:
                 else pc.is_null(batch[c], nan_is_null=True))
             for c in cfg.distinct_cols
         }
-        for key, idx in idx_map.items():
-            if not isinstance(key, tuple):
-                key = (key,)
-            for k, kv in zip(cfg.group_keys, key):
-                rows[k].append(kv)
+        for idx in groups:
             rows["n_rows"].append(len(idx))
             for c in cfg.numeric_cols:
                 v = num_np[c][idx]
@@ -157,29 +159,42 @@ class StatsActor:
                 hll = HyperLogLog(p=cfg.hll_p)
                 hll.add(dist_np[c][idx][~dist_null[c][idx]])
                 rows[f"{c}__hll"].append(hll.to_bytes())
-        t = pa.table(
+        return pa.table(
             {
-                k: pa.array(v, type=pa.binary())
-                if k.endswith(("__tdigest", "__hist", "__hll"))
-                else pa.array(v)
-                for k, v in rows.items()
+                **{k: seg[k] for k in keys},
+                **{k: pa.array(v, type=pa.binary())
+                   if k.endswith(("__tdigest", "__hist", "__hll"))
+                   else pa.array(v)
+                   for k, v in rows.items()},
             }
         )
-        return t
 
 
-def _merge_partials(g: pd.DataFrame, cfg: StatsConfig) -> pd.DataFrame:
-    out: Dict[str, object] = {k: [g[k].iloc[0]] for k in cfg.group_keys}
-    out["n_rows"] = [int(g["n_rows"].sum())]
-    for c in cfg.numeric_cols:
-        out[f"{c}__nulls"] = [int(g[f"{c}__nulls"].sum())]
-        out[f"{c}__tdigest"] = [TDigest.merge_many(g[f"{c}__tdigest"]).to_bytes()]
-    for c in cfg.categorical_cols:
-        out[f"{c}__nulls"] = [int(g[f"{c}__nulls"].sum())]
-        out[f"{c}__hist"] = [CategoricalHistogram.merge_many(g[f"{c}__hist"]).to_bytes()]
-    for c in cfg.distinct_cols:
-        out[f"{c}__hll"] = [HyperLogLog.merge_many(g[f"{c}__hll"]).to_bytes()]
-    return pd.DataFrame(out)
+def _merge_sketch_runs(block: pa.Table, cfg: StatsConfig,
+                       run_keys: List[str]) -> pa.Table:
+    """One merged sketch row per run of equal ``run_keys`` in ``block``
+    (sorted here, nulls last; a null key is a run of its own).  Key
+    columns are taken from the block, so they keep their Arrow type."""
+    if run_keys:
+        block = block.sort_by([(k, "ascending") for k in run_keys],
+                              null_placement="at_end")
+    starts = _key_runs(block, run_keys)
+    ends = np.append(starts[1:], block.num_rows)
+    idx = pa.array(starts, pa.int64())
+    out = {k: block[k].take(idx) for k in cfg.group_keys}
+    for col in ["n_rows"] + [f"{c}__nulls" for c in
+                             [*cfg.numeric_cols, *cfg.categorical_cols]]:
+        out[col] = np.add.reduceat(block[col].to_numpy(), starts)
+    sketches = ([(f"{c}__tdigest", TDigest) for c in cfg.numeric_cols]
+                + [(f"{c}__hist", CategoricalHistogram)
+                   for c in cfg.categorical_cols]
+                + [(f"{c}__hll", HyperLogLog) for c in cfg.distinct_cols])
+    for col, cls in sketches:
+        blobs = block[col].to_pylist()
+        out[col] = pa.array([cls.merge_many(blobs[a:b]).to_bytes()
+                             for a, b in zip(starts, ends)], pa.binary())
+    return pa.table(out).select(
+        [n for n in block.column_names if n in out])
 
 
 def sketch_rows(
@@ -195,14 +210,26 @@ def sketch_rows(
     so an actor pool adds nothing but its startup latency — measured 2×
     slower at bench scale.  Pass ``concurrency=(min, max)`` / an int to
     opt into a pool for a combiner subclass with genuinely heavy
-    per-actor state."""
+    per-actor state.
+
+    The partials merge through the grouped checks' hash-routed exchange
+    (:func:`~xpshacl_ray.stages.grouped._exchange`), so a null key is a
+    group of its own, as under SQL ``GROUP BY``."""
     from ..tuning import map_batches_maybe_pool
 
     partials = map_batches_maybe_pool(
         ds, StatsActor, dict(cfg=cfg), concurrency,
         batch_format="pyarrow", batch_size=batch_size,
     )
-    merge = lambda g: _merge_partials(g, cfg)  # noqa: E731
+    keys = list(cfg.group_keys)
+
+    def merged(parts: "ray.data.Dataset",
+               run_keys: List[str]) -> "ray.data.Dataset":
+        routed = parts.map_batches(_with_route_hash, batch_format="pyarrow",
+                                   fn_kwargs=dict(keys=run_keys))
+        return _exchange(routed,
+                         lambda b: _merge_sketch_runs(b, cfg, run_keys))
+
     if cfg.salt_buckets > 0:
         # level 1: spread each hot group over salt buckets — by row
         # position in the partial batch, so the layout is deterministic
@@ -211,21 +238,10 @@ def sketch_rows(
             salt = np.arange(len(b), dtype=np.int32) % cfg.salt_buckets
             return b.append_column("__salt__", pa.array(salt, pa.int32()))
 
-        salted = partials.map_batches(add_salt, batch_format="pyarrow")
-        level1 = salted.groupby(list(cfg.group_keys) + ["__salt__"]).map_groups(
-            lambda g: _merge_partials(g.drop(columns="__salt__"), cfg),
-            batch_format="pandas",
-        )
-        return level1.groupby(list(cfg.group_keys)).map_groups(
-            merge, batch_format="pandas"
-        )
-    if cfg.group_keys:
-        return partials.groupby(list(cfg.group_keys)).map_groups(
-            merge, batch_format="pandas"
-        )
-    return partials.map_batches(
-        lambda df: _merge_partials(df, cfg), batch_format="pandas", batch_size=None
-    )
+        partials = merged(partials.map_batches(add_salt,
+                                               batch_format="pyarrow"),
+                          keys + ["__salt__"])
+    return merged(partials, keys)
 
 
 def finalize_stats(sketches: pd.DataFrame, cfg: StatsConfig) -> pd.DataFrame:
@@ -274,18 +290,14 @@ def merge_sketch_tables(frames: List[pd.DataFrame],
     Sketches are mergeable, so a reference profile can be maintained
     incrementally: profile yesterday's partitions, merge with the running
     reference, drift-check today against it — no re-scan of history.
-    Driver-side pandas: sketch tables are one small row per group."""
+    Driver-side, with the same run merge :func:`sketch_rows` uses: sketch
+    tables are one small row per group."""
     frames = [f for f in frames if f is not None and len(f)]
     if not frames:
         raise ValueError("no sketch tables to merge")
-    allrows = pd.concat(frames, ignore_index=True)
-    if not cfg.group_keys:
-        return _merge_partials(allrows, cfg)
-    out = []
-    for _, g in allrows.groupby(list(cfg.group_keys), sort=False,
-                                dropna=False):
-        out.append(_merge_partials(g, cfg))
-    return pd.concat(out, ignore_index=True)
+    allrows = pa.Table.from_pandas(pd.concat(frames, ignore_index=True),
+                                   preserve_index=False)
+    return _merge_sketch_runs(allrows, cfg, list(cfg.group_keys)).to_pandas()
 
 
 # ---------------------------------------------------------------------------
