@@ -57,3 +57,26 @@ def test_validate_delta_recomputes_only_changed(tmp_path):
     assert not r4["ran"] and len(r4["skipped"]) == 2 and len(r4["pruned"]) == 1
     v4 = ray.data.read_parquet(r4["data_dir"]).to_pandas()
     assert sorted(v4["id"]) == [1, 10, 12]
+
+
+def test_manifest_rows_out_equals_the_partition_files(tmp_path):
+    """Each manifest's ``rows_out`` is the row count of its partition's
+    Parquet files, for a fully-conforming (zero-row) shard too."""
+    from xpshacl_ray.state.manifest import ManifestStore
+
+    rows = {"shard0": ([1, 2, 3], [-1, -2, 5]), "shard1": ([4, 5], [1, 2]),
+            "shard2": ([6], [-3])}
+    shards = []
+    for name, (ids, vals) in rows.items():
+        shards.append(str(tmp_path / f"{name}.parquet"))
+        _write_shard(shards[-1], ids, vals)
+    out = str(tmp_path / "out")
+    r = _engine().validate_delta(shards, out)
+    assert len(r["ran"]) == 3
+    store = ManifestStore(os.path.join(out, "manifests"))
+    counts = []
+    for pid in r["ran"]:
+        m = store.load("violations", pid)
+        counts.append(m.rows_out)
+        assert m.rows_out == pq.read_table(m.output_path).num_rows
+    assert sorted(counts) == [0, 1, 2]

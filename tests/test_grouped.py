@@ -5,11 +5,13 @@ and Counter oracles."""
 import bisect
 import dataclasses
 import json
+import re
 from collections import Counter
 
 import duckdb
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray.cloudpickle
 import ray.data
@@ -428,3 +430,77 @@ def test_node_isolation_matches_set_oracle():
     assert want
     assert Counter(dict(zip(got["subject"].to_pylist(),
                             map(int, got["value"].to_pylist())))) == want
+
+
+def _two_key_rows(n=2400, seed=12):
+    """Code-table-like rows: ``(repo, path, commit)`` duplicates, and a
+    ``lang`` with rare values and nulls."""
+    rng = np.random.default_rng(seed)
+    langs = ["py", "go", "rs", "c", "zig", None]
+    w = np.array([30, 30, 20, 17, 1, 2]) / 100
+    return pa.table({
+        "row_id": pa.array(np.arange(n), pa.int64()),
+        "repo": pa.array([f"r{i}" for i in rng.integers(0, 6, n)]),
+        "path": pa.array([f"p{i}" for i in rng.integers(0, 40, n)]),
+        "commit": pa.array([f"c{i}" for i in rng.integers(0, 8, n)]),
+        "lang": pa.array([langs[i] for i in rng.choice(len(langs), n, p=w)],
+                         pa.string()),
+    })
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+@pytest.mark.parametrize("blocks", [1, 40])
+def test_cardinality_checks_share_one_exchange(blocks, k, monkeypatch):
+    """Two cardinality checks on different keys (one with null keys) and a
+    row-local check run as one scan and ONE sort; each check's output
+    equals its DuckDB ``GROUP BY`` oracle and the row-local violations
+    equal the in-process kernel's."""
+    from xpshacl_ray.pipelines.validate import ValidationEngine
+    from xpshacl_ray.spec import InSet
+    from xpshacl_ray.stages.evaluate import evaluate_row_local
+
+    t = _two_key_rows()
+    step = t.num_rows // blocks
+    ds = ray.data.from_arrow([t.slice(i * step, step)
+                              for i in range(blocks)])
+    max_c = MaxCount(column="path", group_by=["repo", "path", "commit"],
+                     max_count=1)
+    min_c = MinCount(column=None, group_by=["lang"], min_count=100)
+    in_set = InSet(column="lang", allowed=["py", "go", "rs", "c"])
+    spec = ValidationSpec(constraints=[max_c, min_c, in_set],
+                          id_columns=["row_id", "repo", "path", "commit",
+                                      "lang"],
+                          focus_template="file://{repo}/{path}@{commit}")
+    monkeypatch.setattr(grouped, "_exchange_partitions", lambda: k)
+    viol = ValidationEngine(spec).validate(ds)
+    assert len(re.findall(r"Operator \d+ Sort\b", viol.stats())) == 1
+    got = _sorted_table(viol)
+
+    def rows_of(c):
+        return got.filter(pc.equal(got["constraint_id"], c.constraint_id))
+
+    dups = duckdb.sql("SELECT repo, path, commit, count(*) AS n FROM t "
+                      "GROUP BY repo, path, commit HAVING count(*) > 1").arrow()
+    m = rows_of(max_c)
+    assert dups.num_rows > 0
+    assert Counter(zip(m["repo"].to_pylist(), m["path"].to_pylist(),
+                       m["commit"].to_pylist(),
+                       map(int, m["value"].to_pylist()))) == Counter(
+        zip(*(dups[c].to_pylist() for c in ("repo", "path", "commit", "n"))))
+    rare = duckdb.sql("SELECT lang, count(*) AS n FROM t "
+                      "GROUP BY lang HAVING count(*) < 100").arrow()
+    m = rows_of(min_c)
+    assert None in rare["lang"].to_pylist()
+    assert Counter(zip(m["lang"].to_pylist(),
+                       map(int, m["value"].to_pylist()))) == Counter(
+        zip(rare["lang"].to_pylist(), rare["n"].to_pylist()))
+    for lang, focus in zip(m["lang"].to_pylist(),
+                           m["focus_node"].to_pylist()):
+        assert focus == (None if lang is None else f"group:{lang}")
+    compiled = compile_spec(ValidationSpec(
+        constraints=[in_set], id_columns=spec.id_columns,
+        focus_template=spec.focus_template))
+    want = evaluate_row_local(t, compiled)
+    assert want.num_rows > 0
+    order = [(c, "ascending") for c in want.column_names]
+    assert rows_of(in_set).sort_by(order).equals(want.sort_by(order))

@@ -7,6 +7,8 @@ import pyarrow.compute as pc
 import pytest
 import ray.data
 
+from xpshacl_ray.pipelines.validate import ValidationEngine
+from xpshacl_ray.spec import Referential, ValidationSpec
 from xpshacl_ray.stages.referential import conforming_keys, distinct_keys
 
 BIG = 2**60 + 1  # equal to 2**60 once widened to float64
@@ -39,3 +41,23 @@ def test_key_sets_match_pc_unique(kind, blocks):
     for got in (distinct_keys(ds, "k"), conforming_keys(ds, "k", [])):
         assert got.type == col.type
         assert got.equals(want)
+
+
+@pytest.mark.parametrize("null_is_violation", [False, True])
+def test_empty_referenced_side_flags_every_key(null_is_violation):
+    """A referenced Dataset with no rows gives an empty key set: every
+    non-null ``fk`` violates, and a null one only under
+    ``null_is_violation``."""
+    facts = ray.data.from_arrow(pa.table({
+        "id": pa.array([1, 2, 3, 4], pa.int64()),
+        "fk": pa.array(["a", None, "b", "a"], pa.string())}))
+    dim = ray.data.from_arrow(pa.table({"key": pa.array(["a", "b"])}))
+    dim = dim.filter(lambda r: False)
+    spec = ValidationSpec(
+        constraints=[Referential(column="fk", ref_table="dim",
+                                 ref_column="key",
+                                 null_is_violation=null_is_violation)],
+        id_columns=["id"], focus_template="row:{id}")
+    viol = ValidationEngine(spec).validate(facts, ref_datasets={"fk": dim})
+    got = sorted(r["id"] for r in viol.take_all())
+    assert got == ([1, 2, 3, 4] if null_is_violation else [1, 3, 4])

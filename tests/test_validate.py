@@ -3,6 +3,7 @@ missing-column check, how many times the input is scanned, how many Ray
 Data executions one ``run`` starts, and the Arrow fan-out join of
 explanations onto violations."""
 
+import dataclasses
 import os
 import time
 
@@ -50,8 +51,9 @@ def _rows_logged(log_path) -> int:
 
 
 def _settled_rows(log_path, quiet_s=1.0, limit_s=20.0) -> int:
-    """Rows logged once no task has appended for ``quiet_s``: the schema
-    probe's streaming read may still finish a task after it returns."""
+    """Rows logged once no task has appended for ``quiet_s``: a streaming
+    read may still finish a task after the call that started it
+    returns."""
     n, t_end = _rows_logged(log_path), time.monotonic() + limit_s
     while time.monotonic() < t_end:
         time.sleep(quiet_s)
@@ -62,9 +64,10 @@ def _settled_rows(log_path, quiet_s=1.0, limit_s=20.0) -> int:
     return n
 
 
-def test_validate_scans_input_at_most_twice(tmp_path):
-    """Row-local and grouped branches each read the input once; the
-    grouped exchange adds no further pass."""
+def test_validate_scans_input_once(tmp_path):
+    """``validate`` is eager and reads its input exactly once: row-local,
+    referential and grouped checks leave one ``map_batches`` over it,
+    there is no schema probe, and the later ``materialize`` is free."""
     fx = generate_code_files(1200, seed=1)
     src = str(tmp_path / "code_files.parquet")
     pq.write_table(fx.table, src, row_group_size=300)
@@ -75,16 +78,42 @@ def test_validate_scans_input_at_most_twice(tmp_path):
     engine = build_engine(kg_path=str(tmp_path / "kg.parquet"))
 
     viol = engine.validate(ds, ref_keys={"commit": keys})
-    assert _settled_rows(log_path) <= fx.table.num_rows  # schema probe
-    os.remove(log_path)
     assert viol.materialize().count() > 0
-    assert _rows_logged(log_path) <= 2 * fx.table.num_rows
+    assert _settled_rows(log_path) == fx.table.num_rows
 
 
-def test_run_starts_at_most_four_executions(tmp_path, monkeypatch):
-    """One ``run``: the schema probe, the referenced keys, validate and
-    the report write.  Signature dedup runs as plain tasks over the
-    materialized violation blocks and starts none."""
+def _exploding_spec():
+    @dataclasses.dataclass
+    class Exploding(Required):
+        def mask(self, batch):
+            raise RuntimeError("mask exploded")
+
+    return ValidationSpec(
+        constraints=[Exploding(column="a"),
+                     MaxCount(column="a", group_by=["b"], max_count=1)],
+        id_columns=["a"], focus_template="row:{a}")
+
+
+@pytest.mark.parametrize("schema_known", [True, False])
+def test_validate_reraises_a_kernel_failure_unchanged(schema_known):
+    """A failing check whose columns all exist is not reported as an
+    absent column: its own error surfaces, whether or not the input knew
+    its schema before executing."""
+    ds = ray.data.from_arrow(pa.table({"a": [1, 2], "b": ["x", "x"]}))
+    if not schema_known:
+        ds = ds.map_batches(lambda b: b, batch_format="pyarrow")
+    assert (ds.schema(fetch_if_missing=False) is not None) == schema_known
+    with pytest.raises(Exception) as err:
+        ValidationEngine(_exploding_spec()).validate(ds)
+    assert not isinstance(err.value, ValueError)
+    assert "mask exploded" in str(err.value)
+    assert "absent" not in str(err.value)
+
+
+def test_run_starts_at_most_three_executions(tmp_path, monkeypatch):
+    """One ``run``: the referenced keys, validate and the report write.
+    ``validate`` probes no schema, and signature dedup runs as plain
+    tasks over the materialized violation blocks and starts none."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor)
 
@@ -105,7 +134,7 @@ def test_run_starts_at_most_four_executions(tmp_path, monkeypatch):
     res = engine.run(read_code_table(src),
                      ref_datasets={"commit": ray.data.read_parquet(commits)},
                      out_dir=out)
-    assert 0 < len(starts) <= 4
+    assert 0 < len(starts) <= 3
     monkeypatch.undo()
     n = res["violations"].count()
     assert n > 0

@@ -4,11 +4,13 @@ Engine equivalent of the reference's ``main.py`` lifecycle::
 
     driver: compile constraint spec                       # ST1
     keys  = merge(pc.unique per ref block)                # C4 key set
-    viol  = ds.map_batches(evaluate_row_local)            # C1..C20 fused (E1)
-            ∪ grouped checks (C1/C2/C11: partials.sort(__h__,
-                              k fixed ranges).map_batches(arrow_sweep))
-            ∪ referential checks (C4, broadcast anti-join on keys)
-            .materialize()
+    viol  = ds.map_batches(scan)       # ONE scan: C1..C20 fused (E1),
+                                       # C4 broadcast anti-join on keys,
+                                       # C1/C2/C11 partials, tagged
+            .sort(__h__, k fixed ranges).map_batches(sweep)
+                                       # violations pass, partials reduce
+            ∪ GroupedSparql checks (one exchange each)
+            .materialize()                                # in validate
     sigs  = first_per_signature(∪ first_per_signature.remote(block)
                                   for block in viol.to_arrow_refs())
                                                           # G2 exact dedup
@@ -23,9 +25,14 @@ reference's "first instance is representative" semantics (main.py:139-211).
 Only the per-block dedup runs as Ray tasks, one plain task per
 materialized violation block; it returns at most one row per signature
 and block, and the merge, enrichment and explanation of those few rows
-run in the driver process, with the KG cache loaded once there.  One
-``run`` thus starts four Ray Data executions: the schema probe in
-``validate``, the referenced key set, the violations, and the report
+run in the driver process, with the KG cache loaded once there.
+
+``validate`` is eager and scans its input once: row-local and
+referential violations and the MaxCount/MinCount partials leave one
+``map_batches`` call and cross one exchange.  It checks the spec's
+columns without a schema probe (free when the input knows its schema,
+else only after a failed execution).  One ``run`` thus starts three Ray
+Data executions: the referenced key set, the violations, and the report
 write.
 """
 
@@ -45,9 +52,9 @@ from ..context import ContextRetriever, DomainRule
 from ..explain import DEFAULT_MODEL, ExplainerActor
 from ..justify import tree_json_for_row
 from ..model import VIOLATION_SCHEMA
-from ..spec import CompiledSpec, ValidationSpec, compile_spec
-from ..stages.evaluate import evaluate_row_local
-from ..stages.grouped import evaluate_grouped
+from ..spec import (CompiledSpec, MaxCount, MinCount, ValidationSpec,
+                    compile_spec)
+from ..stages.grouped import evaluate_grouped, evaluate_scan
 from ..stages.referential import _RefMask, distinct_keys
 
 
@@ -175,21 +182,26 @@ class ValidationEngine:
         ref_datasets: Optional[Dict[str, "ray.data.Dataset"]] = None,
         ref_keys: Optional[Dict[str, pa.Array]] = None,
     ) -> "ray.data.Dataset":
-        """Full violations Dataset: (row-local ∪ referential) ∪ grouped.
+        """Full violations Dataset, materialized: one scan of ``ds`` emits
+        the row-local, referential and MaxCount/MinCount violations
+        (:func:`~xpshacl_ray.stages.grouped.evaluate_scan`), unioned with
+        one exchange per GroupedSparql check.
 
-        Referential checks are FUSED into the row-local scan — their mask
-        is row-local once the referenced key set is broadcast, so they cost
-        no extra pass over the input.  Grouped constraints need their own
-        (key-projected) exchange, pipelined with that scan.
+        Referential checks are FUSED into that scan — their mask is
+        row-local once the referenced key set is broadcast.  Cardinality
+        partials leave the same ``map_batches`` call and share ONE
+        exchange with the violation rows, so the input is read once.
+
+        Eager: the violations are materialized before returning, and a
+        spec column absent from ``ds`` raises ``ValueError`` here.  The
+        columns are checked up front when ``ds`` knows its schema without
+        executing; otherwise only a failed execution reads the schema,
+        and a failure that no absent column explains is re-raised as is.
         """
         compiled = self.compiled
-        missing = set(compiled.required_columns()) - set(ds.schema().names)
-        if missing:
-            raise ValueError(
-                f"spec references columns absent from the dataset: "
-                f"{sorted(missing)} (have: {ds.schema().names})"
-            )
-        parts: List[ray.data.Dataset] = []
+        sch = ds.schema(fetch_if_missing=False)
+        if sch is not None:
+            self._check_columns(sch.names)
         fused = list(compiled.row_local)
         if compiled.referential:
             keys = dict(ref_keys or {})
@@ -209,26 +221,42 @@ class ValidationEngine:
                             cc.constraint, "null_is_violation", False),
                     ))
                 )
-        if fused:
-            scan_spec = CompiledSpec(
-                row_local=fused, grouped=[], referential=[],
-                id_columns=compiled.id_columns,
-                focus_template=compiled.focus_template,
-            )
-            parts.append(
-                ds.map_batches(
-                    lambda b, c=scan_spec: evaluate_row_local(b, c),
-                    batch_format="pyarrow",
-                )
-            )
-        if compiled.grouped:
-            parts += evaluate_grouped(ds, compiled)
+        card = [cc for cc in compiled.grouped
+                if isinstance(cc.constraint, (MaxCount, MinCount))]
+        rest = [cc for cc in compiled.grouped
+                if not isinstance(cc.constraint, (MaxCount, MinCount))]
+        parts: List[ray.data.Dataset] = []
+        if fused or card:
+            parts.append(evaluate_scan(ds, replace(
+                compiled, row_local=fused, grouped=card, referential=[])))
+        if rest:
+            parts += evaluate_grouped(ds, replace(
+                compiled, row_local=[], grouped=rest, referential=[]))
         if not parts:
             raise ValueError("spec has no constraints")
         out = parts[0]
         for p in parts[1:]:
             out = out.union(p)
-        return out
+        try:
+            return out.materialize()
+        except Exception as err:
+            if sch is None:
+                try:
+                    names = ds.schema().names
+                except Exception:
+                    raise err
+                self._check_columns(names, cause=err)
+            raise
+
+    def _check_columns(self, names: Sequence[str], cause=None) -> None:
+        """Raise ``ValueError`` naming the spec's columns absent from
+        ``names`` (chained to ``cause``), if there are any."""
+        missing = set(self.compiled.required_columns()) - set(names)
+        if missing:
+            raise ValueError(
+                f"spec references columns absent from the dataset: "
+                f"{sorted(missing)} (have: {list(names)})"
+            ) from cause
 
     def validate_delta(
         self,
@@ -360,9 +388,9 @@ class ValidationEngine:
         return it as ``stats``.
         """
         # violations feed three consumers (dedup, report join, write);
-        # materialize once so the input pipeline executes exactly once —
-        # the violations table is small relative to the input by design
-        violations = self.validate(ds, ref_datasets=ref_datasets).materialize()
+        # validate materializes them, so the input is scanned once — the
+        # violations table is small relative to the input by design
+        violations = self.validate(ds, ref_datasets=ref_datasets)
         sigs, expl_table, kg = self.explained_signatures(violations)
         report = self.report(violations, expl_table)
         kg_saved = kg.save() if save_kg and self.kg_path else None

@@ -20,6 +20,15 @@ its own, as under SQL ``GROUP BY``.  Violation rows are built in that
 same call, with dynamic ``actualCount`` context exactly as the reference
 enriches cardinality context (extended_shacl_validator.py:292-318).
 
+MaxCount/MinCount share ONE exchange per plan (:func:`evaluate_scan`):
+one ``map_batches`` over the input emits the row-local violations and
+every cardinality check's partials as one table tagged by ``__tag__``.
+The violation rows ride the exchange unchanged (routed by their focus
+hash) and pass straight through the sweep; the tag is folded into the
+sweep's group keys, so K cardinality checks cost one sort and one Arrow
+``group_by`` per block.  GroupedSparql and the anti-join forms keep
+their own row-shipping exchanges.
+
 Considered and rejected — combiner-side early-violation emit: a batch whose
 partial count already exceeds ``max_count`` proves the group violates, but
 the violation row must still report the EXACT global ``actualCount`` (the
@@ -33,7 +42,9 @@ plus a second input scan, measured slower than this one exchange).
 
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import replace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -43,8 +54,9 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.sketches import key_hash64
+from ..model import VIOLATION_FIELDS
 from ..spec import CompiledConstraint, CompiledSpec, MaxCount, MinCount
-from .evaluate import violations_schema
+from .evaluate import evaluate_row_local, violations_schema
 
 
 def _with_route_hash(t: pa.Table, keys: List[str]) -> pa.Table:
@@ -82,7 +94,12 @@ def _exchange(ds: "ray.data.Dataset",
     is a uniform 64-bit fold, so equal ranges balance the load without
     sampling, and the layout depends on k alone.  k is fixed at plan
     time, not sized from the partials: an estimate of their distinct
-    keys or bytes would cost an execution before the sort."""
+    keys or bytes would cost an execution before the sort.
+
+    Rows need not all be partials: :func:`evaluate_scan` also routes the
+    row-local violation rows through here (hashed by focus node), and
+    its ``reduce`` passes them through, so one plan's MaxCount/MinCount
+    checks and its violations share a single sort."""
 
     def sweep(block: pa.Table) -> pa.Table:
         return reduce(block.drop_columns(["__h__"]))
@@ -223,47 +240,109 @@ def evaluate_grouped(
     spec: CompiledSpec,
     id_types: Optional[List[pa.DataType]] = None,
 ) -> List["ray.data.Dataset"]:
-    """Run every grouped constraint; returns one violations Dataset each.
+    """Run every grouped constraint; returns a list of violations
+    Datasets.
 
-    MaxCount/MinCount run the pre-aggregated key exchange: per-batch
-    partials (:func:`partial_group_counts`) routed by :func:`_exchange`,
-    whose per-block sweep sums ``partial_n`` per full key, keeps the
-    groups outside the bound and builds their violation rows.  It stays
-    lazy and pipelined with the row-local scan.  GroupedSparql
-    constraints follow, each in its own :func:`_evaluate_grouped_sparql`
-    exchange.  Either way a null key forms its own group.
+    The MaxCount/MinCount checks come first, as ONE Dataset: the
+    pre-aggregated key exchange of :func:`evaluate_scan`, with no
+    row-local checks riding along.  Each GroupedSparql constraint
+    follows in its own :func:`_evaluate_grouped_sparql` exchange
+    (``id_types``, when given, spares it a schema read).  Either way a
+    null key forms its own group.
     """
     from ..spec import GroupedSparql
 
-    id_types = _id_types(ds, spec, id_types)
-    out = []
-    # stable: cardinality checks first, then GroupedSparql
-    for cc in sorted(spec.grouped,
-                     key=lambda cc: isinstance(cc.constraint, GroupedSparql)):
+    card = [cc for cc in spec.grouped
+            if isinstance(cc.constraint, (MaxCount, MinCount))]
+    out = ([evaluate_scan(ds, replace(spec, row_local=[], grouped=card,
+                                      referential=[]))] if card else [])
+    for cc in spec.grouped:
         c = cc.constraint
         if isinstance(c, GroupedSparql):
             out.append(_evaluate_grouped_sparql(ds, cc, spec, id_types))
-            continue
-        if not isinstance(c, (MaxCount, MinCount)):  # pragma: no cover
+        elif not isinstance(c, (MaxCount, MinCount)):  # pragma: no cover
             raise TypeError(f"not a grouped constraint: {c}")
-        keys = list(c.group_by)
-        value_col = c.column if c.column not in keys else None
-
-        def sweep(block: pa.Table, c=c, cc=cc, keys=keys) -> pa.Table:
-            tot = block.group_by(keys).aggregate([("partial_n", "sum")])
-            n = tot["partial_n_sum"]
-            bad = tot.filter(pc.greater(n, int(c.max_count))
-                             if isinstance(c, MaxCount)
-                             else pc.less(n, int(c.min_count)))
-            groups = pa.table({**{k: bad[k] for k in keys},
-                               "actual_count": bad["partial_n_sum"]})
-            return _grouped_violation_rows(groups, cc, keys, spec, id_types)
-
-        partials = ds.map_batches(partial_group_counts, batch_format="pyarrow",
-                                  fn_kwargs=dict(keys=keys,
-                                                 value_col=value_col))
-        out.append(_exchange(partials, sweep))
     return out
+
+
+_TAG = "__tag__"
+_KEY = "__key__"  # prefix of the partial rows' key columns
+
+
+def evaluate_scan(ds: "ray.data.Dataset",
+                  spec: CompiledSpec) -> "ray.data.Dataset":
+    """``spec.row_local`` and the MaxCount/MinCount checks in
+    ``spec.grouped`` from ONE ``map_batches`` over ``ds``.
+
+    Without cardinality checks that call's output is the violations.
+    With them, it is one tagged table (:func:`_scan_batch`) routed by one
+    :func:`_exchange`, whose sweep (:func:`_cardinality_sweep`) passes
+    the violation rows through and reduces every check's partials in one
+    Arrow ``group_by`` per block.  Id-column types are read off each
+    batch and block, so no schema is fetched."""
+    scan = ds.map_batches(_scan_batch, fn_kwargs=dict(spec=spec),
+                          batch_format="pyarrow")
+    if not spec.grouped:
+        return scan
+    return _exchange(scan, functools.partial(_cardinality_sweep, spec=spec))
+
+
+def _scan_batch(batch: pa.Table, spec: CompiledSpec) -> pa.Table:
+    """One input batch → its row-local violations (:func:`evaluate_row_local`)
+    and, if ``spec.grouped`` holds cardinality checks, their partials.
+
+    The output then has one schema for every batch: the violation
+    columns, ``__tag__`` (-1 for a violation row, i for check i's
+    partial rows), ``__h__``, one ``__key__<name>`` column per key column
+    and ``partial_n``.  A column a row does not use is null.  Violation
+    rows are routed by the hash of their focus node, partials by their
+    key."""
+    viol = evaluate_row_local(batch, spec)
+    if not spec.grouped:
+        return viol
+    focus_h = key_hash64(viol["focus_node"]).view(np.int64)
+    parts = [viol.append_column(_TAG, pa.array(np.full(viol.num_rows, -1)))
+             .append_column("__h__", pa.array(focus_h))]
+    for i, cc in enumerate(spec.grouped):
+        c = cc.constraint
+        group_by = list(c.group_by)
+        p = partial_group_counts(
+            batch, group_by, c.column if c.column not in group_by else None)
+        parts.append(p.rename_columns(
+            [_KEY + k for k in group_by] + ["partial_n", "__h__"])
+            .append_column(_TAG, pa.array(np.full(p.num_rows, i))))
+    # the parts' schemas unify in one order, and Arrow fills the
+    # columns a part lacks with nulls
+    return pa.concat_tables(parts, promote_options="default")
+
+
+def _cardinality_sweep(block: pa.Table, spec: CompiledSpec) -> pa.Table:
+    """Reduce one routed block of :func:`_scan_batch` output: violation
+    rows pass through; partials sum per (``__tag__``, key columns) in
+    one Arrow ``group_by`` — a check's unused key columns are all null,
+    so they split nothing — and each check keeps its groups outside its
+    bound as violation rows."""
+    tag = block[_TAG]
+    names = list(spec.id_columns) + [f for f, _ in VIOLATION_FIELDS]
+    out = [block.filter(pc.equal(tag, -1)).select(names)]
+    id_types = [block.schema.field(c).type for c in spec.id_columns]
+    keys = dict.fromkeys(_KEY + k for cc in spec.grouped
+                         for k in cc.constraint.group_by)
+    tot = block.filter(pc.greater_equal(tag, 0)).group_by(
+        [_TAG, *keys]).aggregate([("partial_n", "sum")])
+    for i, cc in enumerate(spec.grouped):
+        c = cc.constraint
+        mine = tot.filter(pc.equal(tot[_TAG], i))
+        n = mine["partial_n_sum"]
+        bad = mine.filter(pc.greater(n, int(c.max_count))
+                          if isinstance(c, MaxCount)
+                          else pc.less(n, int(c.min_count)))
+        group_by = list(c.group_by)
+        groups = pa.table({**{k: bad[_KEY + k] for k in group_by},
+                           "actual_count": bad["partial_n_sum"]})
+        out.append(_grouped_violation_rows(groups, cc, group_by, spec,
+                                           id_types))
+    return pa.concat_tables(out)
 
 
 def _key_runs(t: pa.Table, keys: List[str]) -> np.ndarray:

@@ -89,6 +89,10 @@ class _RefMask:
             if self.null_is_violation:
                 return pa.array(~present | ~valid)
             return pa.array(~present & valid)
+        if pa.types.is_null(keys.type):
+            # an empty key set (a referenced side with no rows) has no
+            # type of its own; every non-null key is then absent
+            keys = keys.cast(col.type)
         # pc.is_in yields False (not null) for null inputs, so gate on
         # validity explicitly rather than via fill_null
         bad = pc.invert(pc.is_in(col, value_set=keys))

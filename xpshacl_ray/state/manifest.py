@@ -23,8 +23,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-import ray.data
-
 
 @dataclass
 class PartitionManifest:
@@ -220,15 +218,14 @@ def run_resumable(
         shutil.rmtree(tmp_dir, ignore_errors=True)
         shutil.rmtree(final_dir, ignore_errors=True)
         ds.write_parquet(tmp_dir)
+        # the count of a materialized Dataset is block metadata: no
+        # execution, no read-back of the files just written
+        rows_out = ds.count()
         # a zero-row result writes NOTHING (not even the directory) —
         # a fully-conforming shard must still produce a resumable,
         # schema-stable partition (empty parquet), not a read crash
         os.makedirs(tmp_dir, exist_ok=True)
-        has_files = any(n.endswith(".parquet") for n in os.listdir(tmp_dir))
-        if has_files:
-            rows_out = ray.data.read_parquet(tmp_dir).count()
-        else:
-            rows_out = 0
+        if not any(n.endswith(".parquet") for n in os.listdir(tmp_dir)):
             write_empty_parquet(tmp_dir, ds.schema(fetch_if_missing=True))
         os.replace(tmp_dir, final_dir)
         wall = time.perf_counter() - t0
