@@ -21,8 +21,7 @@ from xpshacl_ray.spec import (GroupedSparql, GroupPredicate, MaxCount,
                               MinCount, NodeIsolation, SiblingAntiJoin,
                               ValidationSpec, compile_spec)
 from xpshacl_ray.stages import grouped
-from xpshacl_ray.stages.grouped import (_evaluate_grouped_sparql,
-                                        evaluate_grouped,
+from xpshacl_ray.stages.grouped import (evaluate_grouped,
                                         evaluate_node_isolation,
                                         evaluate_sibling_join)
 
@@ -266,7 +265,8 @@ def test_exchange_output_is_independent_of_k(plan, monkeypatch):
                                            op=">=", value=4))
 
         def run():
-            return _evaluate_grouped_sparql(ds, spec.grouped[0], spec)
+            (part,) = evaluate_grouped(ds, spec)
+            return part
     else:
         ds, full = _sibling_case()
         spec = compile_spec(ValidationSpec(
@@ -289,21 +289,53 @@ def test_exchange_output_is_independent_of_k(plan, monkeypatch):
         assert _counts([outs[0]]) == _oracle(t, CARDINALITY[0][1])
 
 
+def test_grouped_sparql_reads_an_input_column_named_value():
+    """A GroupedSparql reading an int64 input column named ``value``,
+    next to a row-local check on the same column: its ``fn`` sees the
+    int64 input values, and the violations' ``value`` stays a string."""
+    from xpshacl_ray.pipelines.validate import ValidationEngine
+    from xpshacl_ray.spec import MaxInclusive
+
+    t = pa.table({"k": pa.array(["a", "a", "b", "b", "b", None]),
+                  "value": pa.array([1, 2, 30, 40, 50, 7], pa.int64())})
+
+    def big_total(g):
+        assert g["value"].type == pa.int64(), g.schema
+        return pc.sum(g["value"]).as_py() > 5
+
+    spec = ValidationSpec(
+        constraints=[MaxInclusive(column="value", bound=45),
+                     GroupedSparql(group_by=["k"], columns=["value"],
+                                   name="big-total", fn=big_total)],
+        id_columns=["k"], focus_template="{k}")
+    viol = ValidationEngine(spec).validate(
+        ray.data.from_arrow([t.slice(0, 3), t.slice(3)]))
+    got = _sorted_table(viol)
+    assert got.schema.field("value").type == pa.string()
+    assert Counter(zip(got["focus_node"].to_pylist(),
+                       got["value"].to_pylist())) == Counter(
+        {("b", "50"): 1, ("group:b", "3"): 1, (None, "1"): 1})
+
 def _fn_twin(spec):
-    """``spec``'s one GroupedSparql with its predicate run as a per-group
+    """``spec`` with its one GroupedSparql's predicate run as a per-group
     ``fn`` — the reference the vectorized sweep is compared against."""
     c = spec.grouped[0].constraint
-    twin = compile_spec(ValidationSpec(
+    return compile_spec(ValidationSpec(
         constraints=[dataclasses.replace(c, predicate=None,
                                          fn=c.predicate.fn)],
         id_columns=spec.id_columns, focus_template=spec.focus_template))
-    return twin.grouped[0], twin
 
 
 def _sorted_table(d):
     got = pa.concat_tables(d.iter_batches(batch_format="pyarrow",
                                           batch_size=None))
     return got.sort_by([("focus_node", "ascending"), ("value", "ascending")])
+
+
+def _grouped_table(ds, spec):
+    """:func:`_sorted_table` of ``spec``'s grouped checks over ``ds``."""
+    (part,) = evaluate_grouped(ds, spec)
+    return _sorted_table(part)
 
 
 def _sparql_spec(pred):
@@ -340,9 +372,8 @@ def test_grouped_sparql_vectorized_equals_map_groups_twin():
                              order_col="predicate", op="==", value=0), None)]
     for pred, null_reported in cases:
         spec = _sparql_spec(pred)
-        fast = _sorted_table(_evaluate_grouped_sparql(ds, spec.grouped[0],
-                                                      spec))
-        slow = _sorted_table(_evaluate_grouped_sparql(ds, *_fn_twin(spec)))
+        fast = _grouped_table(ds, spec)
+        slow = _grouped_table(ds, _fn_twin(spec))
         assert fast.num_rows > 0, pred
         if null_reported is not None:
             assert (None in fast["subject"].to_pylist()) == null_reported
@@ -361,8 +392,7 @@ def test_grouped_sparql_vectorized_counts_null_key_group():
     })
     spec = _sparql_spec(GroupPredicate(agg="count", op="<", value=4,
                                        where_col="predicate", where_val="p"))
-    got = _sorted_table(_evaluate_grouped_sparql(ray.data.from_arrow(t),
-                                                 spec.grouped[0], spec))
+    got = _grouped_table(ray.data.from_arrow(t), spec)
     assert got["focus_node"].to_pylist() == ["group:s1"]
     assert got["value"].to_pylist() == ["2"]
 
@@ -401,6 +431,183 @@ def test_grouped_sparql_fn_null_key_matches_counter(layout, monkeypatch):
                        map(int, got["value"].to_pylist()))) == want
     for k, focus in zip(got["k"].to_pylist(), got["focus_node"].to_pylist()):
         assert focus == (None if k is None else f"group:{k}")
+
+
+# ---------------------------------------------------------------------------
+# GroupedSparql parity on triples: the vectorized GroupPredicate sweep
+# against its per-group ``fn`` twin, null semantics, predicate priority.
+# ---------------------------------------------------------------------------
+
+
+def _superclass_spec(pred=None, fn=None):
+    """A compiled spec of one "at most one superclass" GroupedSparql over
+    ``(subject, predicate, object)`` triples."""
+    c = GroupedSparql(
+        path="rdfs:subClassOf", group_by=["subject"],
+        columns=["predicate", "object"], name="at-most-one-superclass",
+        fn=fn, predicate=pred,
+        message="Classes must have at most one superclass")
+    return compile_spec(ValidationSpec(constraints=[c],
+                                       id_columns=["subject"],
+                                       focus_template="{subject}"))
+
+
+def _grouped_pdf(ds, spec):
+    """``spec``'s grouped violations over ``ds`` as a pandas frame."""
+    (part,) = evaluate_grouped(ds, spec)
+    return part.to_pandas()
+
+
+def _triples_ds(n_subj=300, seed=3):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n_subj):
+        s = f"ex:S{i:04d}"
+        rows.append({"subject": s, "predicate": "rdfs:label",
+                     "object": f"label {i}"})
+        n_parents = int(rng.integers(0, 4))
+        for j in range(n_parents):
+            # some duplicate parents: distinct != count
+            rows.append({"subject": s, "predicate": "rdfs:subClassOf",
+                         "object": f"ex:P{int(rng.integers(0, max(1, n_parents)))}"})
+    return ray.data.from_items(rows)
+
+
+def _null_triples():
+    # ex:A has {x, null}: distinct (null-ignoring) == 1 → NOT a violation
+    # ex:B has {x, y}: distinct == 2 → violation
+    # ex:C has {null, null}: distinct == 0 → NOT a violation
+    rows = [
+        {"subject": "ex:A", "predicate": "rdfs:subClassOf", "object": "x"},
+        {"subject": "ex:A", "predicate": "rdfs:subClassOf", "object": None},
+        {"subject": "ex:B", "predicate": "rdfs:subClassOf", "object": "x"},
+        {"subject": "ex:B", "predicate": "rdfs:subClassOf", "object": "y"},
+        {"subject": "ex:C", "predicate": "rdfs:subClassOf", "object": None},
+        {"subject": "ex:C", "predicate": "rdfs:subClassOf", "object": None},
+    ]
+    return ray.data.from_items(rows)
+
+
+@pytest.mark.slow
+def test_grouped_sparql_vectorized_path_parity():
+    """predicate-driven vectorized bucket sweep ≡ its per-group fn twin
+    (the same constraint with ``fn=pred.fn`` and no predicate), row for
+    row."""
+    ds = _triples_ds()
+    pred = GroupPredicate(agg="distinct", agg_col="object", op=">=",
+                          value=2, where_col="predicate",
+                          where_val="rdfs:subClassOf")
+    fast = _grouped_pdf(ds, _superclass_spec(pred=pred))
+    slow = _grouped_pdf(ds, _superclass_spec(fn=pred.fn))
+    assert len(fast) > 0  # the fixture produces real violations
+    key = ["focus_node"]
+    f = fast.sort_values(key).reset_index(drop=True)
+    s = slow.sort_values(key).reset_index(drop=True)
+    assert list(f.columns) == list(s.columns)
+    for col in f.columns:
+        assert list(f[col]) == list(s[col]), col
+
+
+def test_group_predicate_count_lt_counts_empty_groups():
+    """op '<' must see keys whose filtered metric is empty (0 matching
+    rows): every group's metric starts at 0."""
+    rows = [
+        {"subject": "ex:A", "predicate": "rdfs:subClassOf", "object": "x"},
+        {"subject": "ex:B", "predicate": "rdfs:label", "object": "b"},
+    ]
+    pred = GroupPredicate(agg="count", op="<", value=1,
+                          where_col="predicate",
+                          where_val="rdfs:subClassOf")
+    out = _grouped_pdf(ray.data.from_items(rows),
+                       _superclass_spec(pred=pred))
+    assert [f.split(":", 1)[-1] if f.startswith("group:") else f
+            for f in out["focus_node"]] == ["ex:B"]
+
+
+@pytest.mark.slow
+def test_grouped_sparql_monotone_vectorized_parity():
+    """agg='monotone' bucket sweep ≡ per-group fn path (tie-robust
+    non-decreasing check, the sparql_grouped production shape)."""
+    rng = np.random.default_rng(11)
+    rows = []
+    for s in range(250):
+        for _ in range(int(rng.integers(1, 7))):
+            rows.append({"subject": f"s{s:03d}",
+                         "predicate": str(int(rng.integers(0, 4))),
+                         "object": str(int(rng.integers(0, 9)))})
+    ds = ray.data.from_items(rows)
+    pred = GroupPredicate(agg="monotone", agg_col="object",
+                          order_col="predicate", op=">=", value=1)
+    fast = _grouped_pdf(ds, _superclass_spec(pred=pred))
+    slow = _grouped_pdf(ds, _superclass_spec(fn=pred.fn))
+    assert len(fast) > 0
+    f = fast.sort_values("focus_node").reset_index(drop=True)
+    s2 = slow.sort_values("focus_node").reset_index(drop=True)
+    for col in f.columns:
+        assert list(f[col]) == list(s2[col]), col
+
+
+def test_grouped_sparql_vectorized_multikey_parity():
+    """Multi-column group_by exercises the combined key hashing in the
+    bucket tagger (keys[1:] mixing path)."""
+    rng = np.random.default_rng(23)
+    rows = []
+    for a in range(40):
+        for bkey in ("x", "y"):
+            for _ in range(int(rng.integers(1, 5))):
+                rows.append({"k1": a, "k2": bkey,
+                             "v": str(int(rng.integers(0, 3)))})
+    ds = ray.data.from_items(rows)
+    pred = GroupPredicate(agg="distinct", agg_col="v", op=">=", value=2)
+    c = GroupedSparql(path="v", group_by=["k1", "k2"], columns=["v"],
+                      name="mk", predicate=pred, message="m")
+    spec = compile_spec(ValidationSpec(constraints=[c],
+                                       id_columns=["k1"],
+                                       focus_template="g:{k1}"))
+    twin = compile_spec(ValidationSpec(
+        constraints=[dataclasses.replace(c, predicate=None, fn=pred.fn)],
+        id_columns=["k1"], focus_template="g:{k1}"))
+    fast = _grouped_pdf(ds, spec)
+    slow = _grouped_pdf(ds, twin)
+    assert len(fast) > 0
+    f = fast.sort_values("focus_node").reset_index(drop=True)
+    s = slow.sort_values("focus_node").reset_index(drop=True)
+    for col in f.columns:
+        assert list(f[col]) == list(s[col]), col
+
+
+def test_group_predicate_distinct_ignores_nulls_both_paths():
+    """GroupPredicate agg='distinct' ignores null, as SQL/SPARQL
+    COUNT(DISTINCT) do, on the vectorized sweep and its fn twin alike."""
+    pred = GroupPredicate(agg="distinct", agg_col="object", op=">=",
+                          value=2, where_col="predicate",
+                          where_val="rdfs:subClassOf")
+    ds = _null_triples()
+    fast = _grouped_pdf(ds, _superclass_spec(pred=pred))
+    slow = _grouped_pdf(ds, _superclass_spec(fn=pred.fn))
+    # only ex:B violates on BOTH paths (null is not a distinct value)
+    for out in (fast, slow):
+        focs = sorted(out["focus_node"])
+        assert len(focs) == 1 and focs[0].endswith("ex:B"), focs
+    f = fast.sort_values("focus_node").reset_index(drop=True)
+    s = slow.sort_values("focus_node").reset_index(drop=True)
+    for col in f.columns:
+        assert list(f[col]) == list(s[col]), col
+
+
+def test_predicate_wins_over_fn():
+    """A constraint with both ``fn`` and ``predicate`` is evaluated by its
+    predicate."""
+    def everything_violates(g):  # the decoy c.fn
+        return True
+
+    pred = GroupPredicate(agg="distinct", agg_col="object", op=">=",
+                          value=2, where_col="predicate",
+                          where_val="rdfs:subClassOf")
+    out = _grouped_pdf(_null_triples(),
+                       _superclass_spec(pred=pred, fn=everything_violates))
+    # decoy fn would flag all 3 subjects; the predicate flags only ex:B
+    assert len(out) == 1 and out["focus_node"].iloc[0].endswith("ex:B")
 
 
 def test_node_isolation_matches_set_oracle():
@@ -451,10 +658,11 @@ def _two_key_rows(n=2400, seed=12):
 @pytest.mark.parametrize("k", [1, 2, 3, 8])
 @pytest.mark.parametrize("blocks", [1, 40])
 def test_cardinality_checks_share_one_exchange(blocks, k, monkeypatch):
-    """Two cardinality checks on different keys (one with null keys) and a
-    row-local check run as one scan and ONE sort; each check's output
-    equals its DuckDB ``GROUP BY`` oracle and the row-local violations
-    equal the in-process kernel's."""
+    """Two cardinality checks on different keys (one with null keys), two
+    GroupedSparql checks (a predicate and an ``fn``, both with a null
+    key group) and a row-local check run as one scan and ONE sort; each
+    grouped check's output equals its DuckDB ``GROUP BY`` or Counter
+    oracle and the row-local violations equal the in-process kernel's."""
     from xpshacl_ray.pipelines.validate import ValidationEngine
     from xpshacl_ray.spec import InSet
     from xpshacl_ray.stages.evaluate import evaluate_row_local
@@ -467,7 +675,18 @@ def test_cardinality_checks_share_one_exchange(blocks, k, monkeypatch):
                      max_count=1)
     min_c = MinCount(column=None, group_by=["lang"], min_count=100)
     in_set = InSet(column="lang", allowed=["py", "go", "rs", "c"])
-    spec = ValidationSpec(constraints=[max_c, min_c, in_set],
+    few_commits = GroupedSparql(
+        group_by=["lang", "repo"], columns=["commit"], name="few-commits",
+        predicate=GroupPredicate(agg="distinct", agg_col="commit", op="<",
+                                 value=8))
+
+    def few_paths(g):
+        return len(set(g["path"].to_pylist())) < 40
+
+    sparse = GroupedSparql(group_by=["lang"], columns=["path", "row_id"],
+                           name="few-paths", fn=few_paths)
+    spec = ValidationSpec(constraints=[max_c, min_c, in_set, few_commits,
+                                       sparse],
                           id_columns=["row_id", "repo", "path", "commit",
                                       "lang"],
                           focus_template="file://{repo}/{path}@{commit}")
@@ -475,9 +694,13 @@ def test_cardinality_checks_share_one_exchange(blocks, k, monkeypatch):
     viol = ValidationEngine(spec).validate(ds)
     assert len(re.findall(r"Operator \d+ Sort\b", viol.stats())) == 1
     got = _sorted_table(viol)
+    messages = {id(cc.constraint): cc.message
+                for cc in compile_spec(spec).all_compiled()}
 
     def rows_of(c):
-        return got.filter(pc.equal(got["constraint_id"], c.constraint_id))
+        return got.filter(pc.and_(
+            pc.equal(got["constraint_id"], c.constraint_id),
+            pc.equal(got["message"], messages[id(c)])))
 
     dups = duckdb.sql("SELECT repo, path, commit, count(*) AS n FROM t "
                       "GROUP BY repo, path, commit HAVING count(*) > 1").arrow()
@@ -497,6 +720,23 @@ def test_cardinality_checks_share_one_exchange(blocks, k, monkeypatch):
     for lang, focus in zip(m["lang"].to_pylist(),
                            m["focus_node"].to_pylist()):
         assert focus == (None if lang is None else f"group:{lang}")
+    thin = duckdb.sql("SELECT lang, repo, count(*) AS n FROM t "
+                      "GROUP BY lang, repo "
+                      "HAVING count(DISTINCT commit) < 8").arrow()
+    m = rows_of(few_commits)
+    assert None in thin["lang"].to_pylist()
+    assert Counter(zip(m["lang"].to_pylist(), m["repo"].to_pylist(),
+                       map(int, m["value"].to_pylist()))) == Counter(
+        zip(*(thin[c].to_pylist() for c in ("lang", "repo", "n"))))
+    paths, sizes = {}, Counter(t["lang"].to_pylist())
+    for lang, path in zip(t["lang"].to_pylist(), t["path"].to_pylist()):
+        paths.setdefault(lang, set()).add(path)
+    want = Counter((lang, n) for lang, n in sizes.items()
+                   if len(paths[lang]) < 40)
+    m = rows_of(sparse)
+    assert (None, sizes[None]) in want
+    assert Counter(zip(m["lang"].to_pylist(),
+                       map(int, m["value"].to_pylist()))) == want
     compiled = compile_spec(ValidationSpec(
         constraints=[in_set], id_columns=spec.id_columns,
         focus_template=spec.focus_template))

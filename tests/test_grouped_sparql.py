@@ -1,6 +1,7 @@
 """GroupedSparql (C19 grouped form): the graph-pattern SPARQL escape
-hatch — per-focus-group predicates evaluated via groupby().map_groups
-(reference multi-row sh:sparql shapes: shark_shapes.ttl:48-67, 200-245)."""
+hatch — per-focus-group predicates evaluated on the runs of equal keys
+of ``validate``'s one hash-sorted exchange (reference multi-row
+sh:sparql shapes: shark_shapes.ttl:48-67, 200-245)."""
 
 import numpy as np
 import pyarrow as pa

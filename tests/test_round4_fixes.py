@@ -216,87 +216,9 @@ def test_exact_quantile_skips_hll_scan_for_small_inputs(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# VERDICT r3 item 5: declarative GroupedSparql → vectorized bucket sweep.
+# VERDICT r3 item 5: declarative GroupedSparql → vectorized bucket sweep
+# (the plan's parity tests live in test_grouped.py).
 # ---------------------------------------------------------------------------
-
-
-def _triples_ds(n_subj=300, seed=3):
-    import ray.data
-
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(n_subj):
-        s = f"ex:S{i:04d}"
-        rows.append({"subject": s, "predicate": "rdfs:label",
-                     "object": f"label {i}"})
-        n_parents = int(rng.integers(0, 4))
-        for j in range(n_parents):
-            # some duplicate parents: distinct != count
-            rows.append({"subject": s, "predicate": "rdfs:subClassOf",
-                         "object": f"ex:P{int(rng.integers(0, max(1, n_parents)))}"})
-    return ray.data.from_items(rows)
-
-
-def _compiled_sparql(pred=None, fn=None):
-    from xpshacl_ray.spec import GroupedSparql, ValidationSpec
-
-    c = GroupedSparql(
-        path="rdfs:subClassOf", group_by=["subject"],
-        columns=["predicate", "object"], name="at-most-one-superclass",
-        fn=fn, predicate=pred,
-        message="Classes must have at most one superclass")
-    from xpshacl_ray.spec import compile_spec
-
-    spec = compile_spec(ValidationSpec(constraints=[c],
-                                       id_columns=["subject"],
-                                       focus_template="{subject}"))
-    return spec, spec.grouped[0]
-
-
-@pytest.mark.slow
-def test_grouped_sparql_vectorized_path_parity():
-    """predicate-driven vectorized bucket sweep ≡ its per-group fn twin
-    (the same constraint with ``fn=pred.fn`` and no predicate), row for
-    row."""
-    from xpshacl_ray.spec import GroupPredicate
-    from xpshacl_ray.stages.grouped import _evaluate_grouped_sparql
-
-    ds = _triples_ds()
-    pred = GroupPredicate(agg="distinct", agg_col="object", op=">=",
-                          value=2, where_col="predicate",
-                          where_val="rdfs:subClassOf")
-    spec, cc = _compiled_sparql(pred=pred)
-    twin, twin_cc = _compiled_sparql(fn=pred.fn)
-    fast = _evaluate_grouped_sparql(ds, cc, spec).to_pandas()
-    slow = _evaluate_grouped_sparql(ds, twin_cc, twin).to_pandas()
-    assert len(fast) > 0  # the fixture produces real violations
-    key = ["focus_node"]
-    f = fast.sort_values(key).reset_index(drop=True)
-    s = slow.sort_values(key).reset_index(drop=True)
-    assert list(f.columns) == list(s.columns)
-    for col in f.columns:
-        assert list(f[col]) == list(s[col]), col
-
-
-def test_group_predicate_count_lt_counts_empty_groups():
-    """op '<' must see keys whose filtered metric is empty (0 matching
-    rows): every group's metric starts at 0."""
-    import ray.data
-    from xpshacl_ray.spec import GroupPredicate
-    from xpshacl_ray.stages.grouped import _evaluate_grouped_sparql
-
-    rows = [
-        {"subject": "ex:A", "predicate": "rdfs:subClassOf", "object": "x"},
-        {"subject": "ex:B", "predicate": "rdfs:label", "object": "b"},
-    ]
-    pred = GroupPredicate(agg="count", op="<", value=1,
-                          where_col="predicate",
-                          where_val="rdfs:subClassOf")
-    spec, cc = _compiled_sparql(pred=pred)
-    out = _evaluate_grouped_sparql(ray.data.from_items(rows), cc,
-                                   spec).to_pandas()
-    assert [f.split(":", 1)[-1] if f.startswith("group:") else f
-            for f in out["focus_node"]] == ["ex:B"]
 
 
 def test_group_predicate_validates_inputs():
@@ -308,35 +230,6 @@ def test_group_predicate_validates_inputs():
         GroupPredicate(op="~")
     with pytest.raises(ValueError):
         GroupPredicate(agg="median")
-
-
-@pytest.mark.slow
-def test_grouped_sparql_monotone_vectorized_parity():
-    """agg='monotone' bucket sweep ≡ per-group fn path (tie-robust
-    non-decreasing check, the sparql_grouped production shape)."""
-    import ray.data
-    from xpshacl_ray.spec import GroupPredicate
-    from xpshacl_ray.stages.grouped import _evaluate_grouped_sparql
-
-    rng = np.random.default_rng(11)
-    rows = []
-    for s in range(250):
-        for _ in range(int(rng.integers(1, 7))):
-            rows.append({"subject": f"s{s:03d}",
-                         "predicate": str(int(rng.integers(0, 4))),
-                         "object": str(int(rng.integers(0, 9)))})
-    ds = ray.data.from_items(rows)
-    pred = GroupPredicate(agg="monotone", agg_col="object",
-                          order_col="predicate", op=">=", value=1)
-    spec, cc = _compiled_sparql(pred=pred)
-    twin, twin_cc = _compiled_sparql(fn=pred.fn)
-    fast = _evaluate_grouped_sparql(ds, cc, spec).to_pandas()
-    slow = _evaluate_grouped_sparql(ds, twin_cc, twin).to_pandas()
-    assert len(fast) > 0
-    f = fast.sort_values("focus_node").reset_index(drop=True)
-    s2 = slow.sort_values("focus_node").reset_index(drop=True)
-    for col in f.columns:
-        assert list(f[col]) == list(s2[col]), col
 
 
 # ---------------------------------------------------------------------------
@@ -411,43 +304,6 @@ def test_unigram_logprob_join_append_with_renamed_id_col():
     assert set(out.columns) == {"my_id", "text", "n_tokens", "avg_logprob"}
     assert list(out["my_id"]) == list(range(21))
     assert list(out["n_tokens"]) == [2] * 20 + [0]
-
-
-def test_grouped_sparql_vectorized_multikey_parity():
-    """Multi-column group_by exercises the combined key hashing in the
-    bucket tagger (keys[1:] mixing path)."""
-    import dataclasses
-
-    import ray.data
-    from xpshacl_ray.spec import (GroupedSparql, GroupPredicate,
-                                  ValidationSpec, compile_spec)
-    from xpshacl_ray.stages.grouped import _evaluate_grouped_sparql
-
-    rng = np.random.default_rng(23)
-    rows = []
-    for a in range(40):
-        for bkey in ("x", "y"):
-            for _ in range(int(rng.integers(1, 5))):
-                rows.append({"k1": a, "k2": bkey,
-                             "v": str(int(rng.integers(0, 3)))})
-    ds = ray.data.from_items(rows)
-    pred = GroupPredicate(agg="distinct", agg_col="v", op=">=", value=2)
-    c = GroupedSparql(path="v", group_by=["k1", "k2"], columns=["v"],
-                      name="mk", predicate=pred, message="m")
-    spec = compile_spec(ValidationSpec(constraints=[c],
-                                       id_columns=["k1"],
-                                       focus_template="g:{k1}"))
-    cc = spec.grouped[0]
-    twin = compile_spec(ValidationSpec(
-        constraints=[dataclasses.replace(c, predicate=None, fn=pred.fn)],
-        id_columns=["k1"], focus_template="g:{k1}"))
-    fast = _evaluate_grouped_sparql(ds, cc, spec).to_pandas()
-    slow = _evaluate_grouped_sparql(ds, twin.grouped[0], twin).to_pandas()
-    assert len(fast) > 0
-    f = fast.sort_values("focus_node").reset_index(drop=True)
-    s = slow.sort_values("focus_node").reset_index(drop=True)
-    for col in f.columns:
-        assert list(f[col]) == list(s[col]), col
 
 
 def test_epoch_shuffle_accepts_negative_ids():

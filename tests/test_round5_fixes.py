@@ -6,6 +6,7 @@
    they used to diverge on groups containing nulls).
 2. A constraint with BOTH fn and predicate set is evaluated by its
    predicate ("fn is ignored when predicate is given").
+   Both plan-level tests of 1 and 2 live in test_grouped.py.
 3. hash_join bucket hashing is independent of a batch's null layout
    (nullable int keys used to widen to float64 and re-bucket).
 4. exact_quantile_thresholds gates its count short-circuit on cheap
@@ -22,59 +23,8 @@ import ray.data
 
 
 # ---------------------------------------------------------------------------
-# 1+2. GroupPredicate null-distinct parity / predicate priority over fn
+# 1. GroupPredicate.fn null-distinct semantics
 # ---------------------------------------------------------------------------
-
-
-def _compiled_sparql(pred=None, fn=None):
-    from xpshacl_ray.spec import GroupedSparql, ValidationSpec, compile_spec
-
-    c = GroupedSparql(
-        path="rdfs:subClassOf", group_by=["subject"],
-        columns=["predicate", "object"], name="at-most-one-superclass",
-        fn=fn, predicate=pred,
-        message="Classes must have at most one superclass")
-    spec = compile_spec(ValidationSpec(constraints=[c],
-                                       id_columns=["subject"],
-                                       focus_template="{subject}"))
-    return spec, spec.grouped[0]
-
-
-def _null_triples():
-    # ex:A has {x, null}: distinct (null-ignoring) == 1 → NOT a violation
-    # ex:B has {x, y}: distinct == 2 → violation
-    # ex:C has {null, null}: distinct == 0 → NOT a violation
-    rows = [
-        {"subject": "ex:A", "predicate": "rdfs:subClassOf", "object": "x"},
-        {"subject": "ex:A", "predicate": "rdfs:subClassOf", "object": None},
-        {"subject": "ex:B", "predicate": "rdfs:subClassOf", "object": "x"},
-        {"subject": "ex:B", "predicate": "rdfs:subClassOf", "object": "y"},
-        {"subject": "ex:C", "predicate": "rdfs:subClassOf", "object": None},
-        {"subject": "ex:C", "predicate": "rdfs:subClassOf", "object": None},
-    ]
-    return ray.data.from_items(rows)
-
-
-def test_group_predicate_distinct_ignores_nulls_both_paths():
-    from xpshacl_ray.spec import GroupPredicate
-    from xpshacl_ray.stages.grouped import _evaluate_grouped_sparql
-
-    pred = GroupPredicate(agg="distinct", agg_col="object", op=">=",
-                          value=2, where_col="predicate",
-                          where_val="rdfs:subClassOf")
-    spec, cc = _compiled_sparql(pred=pred)
-    twin, twin_cc = _compiled_sparql(fn=pred.fn)
-    ds = _null_triples()
-    fast = _evaluate_grouped_sparql(ds, cc, spec).to_pandas()
-    slow = _evaluate_grouped_sparql(ds, twin_cc, twin).to_pandas()
-    # only ex:B violates on BOTH paths (null is not a distinct value)
-    for out in (fast, slow):
-        focs = sorted(out["focus_node"])
-        assert len(focs) == 1 and focs[0].endswith("ex:B"), focs
-    f = fast.sort_values("focus_node").reset_index(drop=True)
-    s = slow.sort_values("focus_node").reset_index(drop=True)
-    for col in f.columns:
-        assert list(f[col]) == list(s[col]), col
 
 
 def test_group_predicate_fn_drops_nulls():
@@ -86,24 +36,6 @@ def test_group_predicate_fn_drops_nulls():
     assert pred.fn(g) is False  # {x, null} → distinct 1, not 2
     g2 = pa.table({"object": pa.array(["x", "y", None], pa.string())})
     assert pred.fn(g2) is True
-
-
-def test_predicate_wins_over_fn():
-    """A constraint with both ``fn`` and ``predicate`` is evaluated by its
-    predicate."""
-    from xpshacl_ray.spec import GroupPredicate
-    from xpshacl_ray.stages.grouped import _evaluate_grouped_sparql
-
-    def everything_violates(g):  # the decoy c.fn
-        return True
-
-    pred = GroupPredicate(agg="distinct", agg_col="object", op=">=",
-                          value=2, where_col="predicate",
-                          where_val="rdfs:subClassOf")
-    spec, cc = _compiled_sparql(pred=pred, fn=everything_violates)
-    out = _evaluate_grouped_sparql(_null_triples(), cc, spec).to_pandas()
-    # decoy fn would flag all 3 subjects; the predicate flags only ex:B
-    assert len(out) == 1 and out["focus_node"].iloc[0].endswith("ex:B")
 
 
 # ---------------------------------------------------------------------------

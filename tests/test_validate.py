@@ -16,7 +16,8 @@ from xpshacl_ray.pipelines.code_files import build_engine
 from xpshacl_ray.pipelines.validate import ValidationEngine
 from xpshacl_ray.sources.fixtures import generate_code_files
 from xpshacl_ray.sources.ingest import add_lineage_columns, read_code_table
-from xpshacl_ray.spec import MaxCount, Required, ValidationSpec
+from xpshacl_ray.spec import (GroupedSparql, MaxCount, Required,
+                              ValidationSpec)
 from xpshacl_ray.stages.referential import distinct_keys
 
 
@@ -34,11 +35,11 @@ def test_validate_names_absent_column_eagerly():
         ValidationEngine(spec).validate(ds)
 
 
-def _make_counting_lineage(log_path):
+def _make_counting_lineage(log_path, fn=add_lineage_columns):
     def lineage(batch: pa.Table) -> pa.Table:
         with open(log_path, "a") as f:
             f.write(f"{batch.num_rows}\n")
-        return add_lineage_columns(batch)
+        return fn(batch)
 
     return lineage
 
@@ -82,6 +83,53 @@ def test_validate_scans_input_once(tmp_path):
     assert _settled_rows(log_path) == fx.table.num_rows
 
 
+def _counting_executions(monkeypatch) -> list:
+    """A list that gains one item per Ray Data execution started."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    starts = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        starts.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return starts
+
+
+def test_validate_with_grouped_sparql_reads_input_once(tmp_path,
+                                                       monkeypatch):
+    """A GroupedSparql check rides the same scan and exchange as the
+    row-local checks: ``validate`` starts one Ray Data execution and its
+    input's lineage sees each row once."""
+    t = pa.table({"user_id": [i % 70 for i in range(700)],
+                  "seq": [i // 70 for i in range(700)],
+                  "ts": [(i * 7919) % 1000 for i in range(700)]})
+    log_path = str(tmp_path / "lineage.log")
+    ds = ray.data.from_arrow([t.slice(i * 100, 100) for i in range(7)])
+    ds = ds.map_batches(_make_counting_lineage(log_path, fn=lambda b: b),
+                        batch_format="pyarrow")
+
+    def decreasing(g):
+        ts = g.sort_by("seq")["ts"].to_pylist()
+        return any(b < a for a, b in zip(ts, ts[1:]))
+
+    spec = ValidationSpec(
+        constraints=[Required(column="ts"),
+                     GroupedSparql(group_by=["user_id"],
+                                   columns=["seq", "ts"], name="ts-up",
+                                   fn=decreasing)],
+        id_columns=["user_id"], focus_template="user:{user_id}")
+    starts = _counting_executions(monkeypatch)
+    viol = ValidationEngine(spec).validate(ds)
+    assert len(starts) == 1
+    monkeypatch.undo()
+    assert viol.count() > 0
+    assert _settled_rows(log_path) == t.num_rows
+
+
 def _exploding_spec():
     @dataclasses.dataclass
     class Exploding(Required):
@@ -114,22 +162,12 @@ def test_run_starts_at_most_three_executions(tmp_path, monkeypatch):
     """One ``run``: the referenced keys, validate and the report write.
     ``validate`` probes no schema, and signature dedup runs as plain
     tasks over the materialized violation blocks and starts none."""
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor)
-
     fx = generate_code_files(1200, seed=1)
     src, commits = str(tmp_path / "code.parquet"), str(tmp_path / "c.parquet")
     pq.write_table(fx.table, src, row_group_size=300)
     pq.write_table(fx.commits, commits)
     engine = build_engine(kg_path=str(tmp_path / "kg.parquet"))
-    starts = []
-    execute = StreamingExecutor.execute
-
-    def counting(self, *args, **kwargs):
-        starts.append(1)
-        return execute(self, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    starts = _counting_executions(monkeypatch)
     out = str(tmp_path / "report")
     res = engine.run(read_code_table(src),
                      ref_datasets={"commit": ray.data.read_parquet(commits)},

@@ -6,10 +6,11 @@ Engine equivalent of the reference's ``main.py`` lifecycle::
     keys  = merge(pc.unique per ref block)                # C4 key set
     viol  = ds.map_batches(scan)       # ONE scan: C1..C20 fused (E1),
                                        # C4 broadcast anti-join on keys,
-                                       # C1/C2/C11 partials, tagged
+                                       # C1/C2/C11 partials and C19
+                                       # GroupedSparql rows, tagged
             .sort(__h__, k fixed ranges).map_batches(sweep)
-                                       # violations pass, partials reduce
-            ∪ GroupedSparql checks (one exchange each)
+                                       # violations pass, partials reduce,
+                                       # GroupedSparql runs are judged
             .materialize()                                # in validate
     sigs  = first_per_signature(∪ first_per_signature.remote(block)
                                   for block in viol.to_arrow_refs())
@@ -28,18 +29,18 @@ and block, and the merge, enrichment and explanation of those few rows
 run in the driver process, with the KG cache loaded once there.
 
 ``validate`` is eager and scans its input once: row-local and
-referential violations and the MaxCount/MinCount partials leave one
-``map_batches`` call and cross one exchange.  It checks the spec's
-columns without a schema probe (free when the input knows its schema,
-else only after a failed execution).  One ``run`` thus starts three Ray
-Data executions: the referenced key set, the violations, and the report
-write.
+referential violations, the MaxCount/MinCount partials and the
+GroupedSparql rows leave one ``map_batches`` call and cross one
+exchange.  It checks the spec's columns without a schema probe (free
+when the input knows its schema, else only after a failed execution).
+One ``run`` thus starts three Ray Data executions: the referenced key
+set, the violations, and the report write.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -52,9 +53,8 @@ from ..context import ContextRetriever, DomainRule
 from ..explain import DEFAULT_MODEL, ExplainerActor
 from ..justify import tree_json_for_row
 from ..model import VIOLATION_SCHEMA
-from ..spec import (CompiledSpec, MaxCount, MinCount, ValidationSpec,
-                    compile_spec)
-from ..stages.grouped import evaluate_grouped, evaluate_scan
+from ..spec import CompiledSpec, ValidationSpec, compile_spec
+from ..stages.grouped import evaluate_scan
 from ..stages.referential import _RefMask, distinct_keys
 
 
@@ -183,14 +183,14 @@ class ValidationEngine:
         ref_keys: Optional[Dict[str, pa.Array]] = None,
     ) -> "ray.data.Dataset":
         """Full violations Dataset, materialized: one scan of ``ds`` emits
-        the row-local, referential and MaxCount/MinCount violations
-        (:func:`~xpshacl_ray.stages.grouped.evaluate_scan`), unioned with
-        one exchange per GroupedSparql check.
+        the row-local, referential, MaxCount/MinCount and GroupedSparql
+        violations (:func:`~xpshacl_ray.stages.grouped.evaluate_scan`).
 
         Referential checks are FUSED into that scan — their mask is
         row-local once the referenced key set is broadcast.  Cardinality
-        partials leave the same ``map_batches`` call and share ONE
-        exchange with the violation rows, so the input is read once.
+        partials and the GroupedSparql checks' pruned rows leave the same
+        ``map_batches`` call and share ONE exchange with the violation
+        rows, so the input is read once.
 
         Eager: the violations are materialized before returning, and a
         spec column absent from ``ds`` raises ``ValueError`` here.  The
@@ -221,22 +221,10 @@ class ValidationEngine:
                             cc.constraint, "null_is_violation", False),
                     ))
                 )
-        card = [cc for cc in compiled.grouped
-                if isinstance(cc.constraint, (MaxCount, MinCount))]
-        rest = [cc for cc in compiled.grouped
-                if not isinstance(cc.constraint, (MaxCount, MinCount))]
-        parts: List[ray.data.Dataset] = []
-        if fused or card:
-            parts.append(evaluate_scan(ds, replace(
-                compiled, row_local=fused, grouped=card, referential=[])))
-        if rest:
-            parts += evaluate_grouped(ds, replace(
-                compiled, row_local=[], grouped=rest, referential=[]))
-        if not parts:
+        if not (fused or compiled.grouped):
             raise ValueError("spec has no constraints")
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.union(p)
+        out = evaluate_scan(ds, replace(compiled, row_local=fused,
+                                        referential=[]))
         try:
             return out.materialize()
         except Exception as err:

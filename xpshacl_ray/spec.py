@@ -972,11 +972,13 @@ class GroupedSparql(Constraint):
     ``columns`` must list every non-key column ``fn`` reads so the
     exchange ships only those (prune-at-the-read still applies).
 
-    Partitioning assumption (documented contract): one exchange block —
-    one sort range of the pruned columns — fits in a worker's heap.
-    Focus groups are bounded by the data model (rows per subject), not
-    by corpus size, so this holds at 100 TB; a mega-group (skewed key)
-    should be pre-capped upstream.
+    Partitioning assumption (documented contract): one exchange block
+    fits in a worker's heap.  A block is one hash range of everything
+    the plan's one exchange carries: this check's pruned rows, those of
+    the spec's other GroupedSparql checks, the cardinality partials and
+    the row-local violation rows.  Focus groups are bounded by the data
+    model (rows per subject), not by corpus size, so this holds at
+    100 TB; a mega-group (skewed key) should be pre-capped upstream.
     """
 
     group_by: Sequence[str] = field(default_factory=list)
@@ -1010,6 +1012,15 @@ class GroupedSparql(Constraint):
 
     def default_message(self) -> str:
         return f"SPARQL group constraint '{self.name}' failed"
+
+    def read_columns(self) -> List[str]:
+        """The columns the check reads, each once: its ``group_by`` keys,
+        its declared ``columns``, then whatever a declarative
+        ``predicate`` needs."""
+        p = self.predicate
+        extra = [] if p is None else [p.agg_col, p.where_col, p.order_col]
+        return list(dict.fromkeys(
+            [*self.group_by, *self.columns, *filter(None, extra)]))
 
 
 @dataclass
@@ -1253,14 +1264,7 @@ class CompiledSpec:
             if isinstance(c, (MinCount, MaxCount)):
                 cols.extend(c.group_by)
             if isinstance(c, GroupedSparql):
-                cols.extend(c.group_by)
-                cols.extend(c.columns)
-                if c.predicate is not None:
-                    for extra in (c.predicate.agg_col,
-                                  c.predicate.where_col,
-                                  c.predicate.order_col):
-                        if extra:
-                            cols.append(extra)
+                cols.extend(c.read_columns())
             if isinstance(c, SqlCheck):
                 cols.extend(c.columns)
 

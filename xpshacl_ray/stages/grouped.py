@@ -20,14 +20,16 @@ its own, as under SQL ``GROUP BY``.  Violation rows are built in that
 same call, with dynamic ``actualCount`` context exactly as the reference
 enriches cardinality context (extended_shacl_validator.py:292-318).
 
-MaxCount/MinCount share ONE exchange per plan (:func:`evaluate_scan`):
-one ``map_batches`` over the input emits the row-local violations and
-every cardinality check's partials as one table tagged by ``__tag__``.
-The violation rows ride the exchange unchanged (routed by their focus
-hash) and pass straight through the sweep; the tag is folded into the
-sweep's group keys, so K cardinality checks cost one sort and one Arrow
-``group_by`` per block.  GroupedSparql and the anti-join forms keep
-their own row-shipping exchanges.
+All checks of one ``validate`` share ONE exchange (:func:`evaluate_scan`):
+one ``map_batches`` over the input emits the row-local violations, every
+MaxCount/MinCount check's partials and every GroupedSparql check's
+pruned rows as one table tagged by ``__tag__``.  The violation rows ride
+the exchange unchanged (routed by their focus hash) and pass straight
+through the sweep; the tag is folded into the sweep's group keys, so K
+cardinality checks cost one Arrow ``group_by`` per block, and each
+GroupedSparql check reduces its own tag's rows in the same call.  Only
+the anti-join forms, which read a second (full-graph) input, keep their
+own exchanges.
 
 Considered and rejected — combiner-side early-violation emit: a batch whose
 partial count already exceeds ``max_count`` proves the group violates, but
@@ -97,9 +99,9 @@ def _exchange(ds: "ray.data.Dataset",
     keys or bytes would cost an execution before the sort.
 
     Rows need not all be partials: :func:`evaluate_scan` also routes the
-    row-local violation rows through here (hashed by focus node), and
-    its ``reduce`` passes them through, so one plan's MaxCount/MinCount
-    checks and its violations share a single sort."""
+    row-local violation rows (hashed by focus node) and the GroupedSparql
+    rows through here, so one plan's checks and its violations share a
+    single sort."""
 
     def sweep(block: pa.Table) -> pa.Table:
         return reduce(block.drop_columns(["__h__"]))
@@ -240,63 +242,61 @@ def evaluate_grouped(
     spec: CompiledSpec,
     id_types: Optional[List[pa.DataType]] = None,
 ) -> List["ray.data.Dataset"]:
-    """Run every grouped constraint; returns a list of violations
-    Datasets.
+    """Run every grouped constraint of ``spec``; returns a list of at
+    most one violations Dataset, empty when ``spec.grouped`` is.
 
-    The MaxCount/MinCount checks come first, as ONE Dataset: the
-    pre-aggregated key exchange of :func:`evaluate_scan`, with no
-    row-local checks riding along.  Each GroupedSparql constraint
-    follows in its own :func:`_evaluate_grouped_sparql` exchange
-    (``id_types``, when given, spares it a schema read).  Either way a
-    null key forms its own group.
+    That Dataset is :func:`evaluate_scan` over ``spec.grouped`` alone,
+    with no row-local or referential checks riding along: one scan and
+    one exchange for the MaxCount/MinCount and GroupedSparql checks
+    alike, a null key forming its own group.  ``id_types`` is unused:
+    the sweep reads the id-column types off its blocks.
     """
-    from ..spec import GroupedSparql
-
-    card = [cc for cc in spec.grouped
-            if isinstance(cc.constraint, (MaxCount, MinCount))]
-    out = ([evaluate_scan(ds, replace(spec, row_local=[], grouped=card,
-                                      referential=[]))] if card else [])
-    for cc in spec.grouped:
-        c = cc.constraint
-        if isinstance(c, GroupedSparql):
-            out.append(_evaluate_grouped_sparql(ds, cc, spec, id_types))
-        elif not isinstance(c, (MaxCount, MinCount)):  # pragma: no cover
-            raise TypeError(f"not a grouped constraint: {c}")
-    return out
+    if not spec.grouped:
+        return []
+    return [evaluate_scan(ds, replace(spec, row_local=[], referential=[]))]
 
 
 _TAG = "__tag__"
-_KEY = "__key__"  # prefix of the partial rows' key columns
+_KEY = "__key__"  # prefix of the input columns a grouped check carries
+
+
+def _is_cardinality(cc: CompiledConstraint) -> bool:
+    return isinstance(cc.constraint, (MaxCount, MinCount))
 
 
 def evaluate_scan(ds: "ray.data.Dataset",
                   spec: CompiledSpec) -> "ray.data.Dataset":
-    """``spec.row_local`` and the MaxCount/MinCount checks in
-    ``spec.grouped`` from ONE ``map_batches`` over ``ds``.
+    """``spec.row_local`` and every check in ``spec.grouped`` from ONE
+    ``map_batches`` over ``ds``.
 
-    Without cardinality checks that call's output is the violations.
-    With them, it is one tagged table (:func:`_scan_batch`) routed by one
-    :func:`_exchange`, whose sweep (:func:`_cardinality_sweep`) passes
-    the violation rows through and reduces every check's partials in one
-    Arrow ``group_by`` per block.  Id-column types are read off each
-    batch and block, so no schema is fetched."""
+    Without grouped checks that call's output is the violations.  With
+    them, it is one tagged table (:func:`_scan_batch`) routed by one
+    :func:`_exchange`, whose sweep (:func:`_grouped_sweep`) passes the
+    violation rows through, reduces every cardinality check's partials
+    in one Arrow ``group_by`` and every GroupedSparql check's rows by
+    :func:`_sparql_groups`, per block.  Id-column types are read off
+    each batch and block, so no schema is fetched."""
     scan = ds.map_batches(_scan_batch, fn_kwargs=dict(spec=spec),
                           batch_format="pyarrow")
     if not spec.grouped:
         return scan
-    return _exchange(scan, functools.partial(_cardinality_sweep, spec=spec))
+    return _exchange(scan, functools.partial(_grouped_sweep, spec=spec))
 
 
 def _scan_batch(batch: pa.Table, spec: CompiledSpec) -> pa.Table:
     """One input batch → its row-local violations (:func:`evaluate_row_local`)
-    and, if ``spec.grouped`` holds cardinality checks, their partials.
+    and each grouped check's rows: a MaxCount/MinCount check's partials
+    (:func:`partial_group_counts`), a GroupedSparql check's pruned input
+    rows (:func:`_sparql_rows`).
 
     The output then has one schema for every batch: the violation
-    columns, ``__tag__`` (-1 for a violation row, i for check i's
-    partial rows), ``__h__``, one ``__key__<name>`` column per key column
-    and ``partial_n``.  A column a row does not use is null.  Violation
-    rows are routed by the hash of their focus node, partials by their
-    key."""
+    columns, ``__tag__`` (-1 for a violation row, i for check i's rows),
+    ``__h__``, one ``__key__<name>`` column per input column a check
+    carries, and ``partial_n`` when a cardinality check is present.  The
+    prefix keeps an input column named like a violation field (say
+    ``value``) apart from it.  A column a row does not use is null.
+    Violation rows are routed by the hash of their focus node, a check's
+    rows by its key."""
     viol = evaluate_row_local(batch, spec)
     if not spec.grouped:
         return viol
@@ -306,40 +306,70 @@ def _scan_batch(batch: pa.Table, spec: CompiledSpec) -> pa.Table:
     for i, cc in enumerate(spec.grouped):
         c = cc.constraint
         group_by = list(c.group_by)
-        p = partial_group_counts(
-            batch, group_by, c.column if c.column not in group_by else None)
-        parts.append(p.rename_columns(
-            [_KEY + k for k in group_by] + ["partial_n", "__h__"])
-            .append_column(_TAG, pa.array(np.full(p.num_rows, i))))
+        if _is_cardinality(cc):
+            p = partial_group_counts(
+                batch, group_by,
+                c.column if c.column not in group_by else None)
+            names = [_KEY + k for k in group_by] + ["partial_n", "__h__"]
+        else:
+            p = _with_route_hash(_sparql_rows(batch, c), group_by)
+            names = [_KEY + k for k in c.read_columns()] + ["__h__"]
+        parts.append(p.rename_columns(names)
+                     .append_column(_TAG, pa.array(np.full(p.num_rows, i))))
     # the parts' schemas unify in one order, and Arrow fills the
     # columns a part lacks with nulls
     return pa.concat_tables(parts, promote_options="default")
 
 
-def _cardinality_sweep(block: pa.Table, spec: CompiledSpec) -> pa.Table:
+def _sparql_rows(batch: pa.Table, c) -> pa.Table:
+    """The rows of ``batch`` GroupedSparql ``c`` ships, pruned to the
+    columns it reads (prune-at-the-read).  Under ``path_rows_only`` (the
+    ``fn`` form) only the rows whose ``predicate`` is ``path`` remain:
+    ``fn`` reads no other row, and a group without them never violates,
+    so it never ships."""
+    cols = c.read_columns()
+    t = batch.select(cols)
+    if (c.predicate is None and c.path_rows_only and c.path
+            and "predicate" in cols):
+        t = t.filter(pc.fill_null(pc.equal(t["predicate"], c.path), False))
+    return t
+
+
+def _grouped_sweep(block: pa.Table, spec: CompiledSpec) -> pa.Table:
     """Reduce one routed block of :func:`_scan_batch` output: violation
-    rows pass through; partials sum per (``__tag__``, key columns) in
-    one Arrow ``group_by`` — a check's unused key columns are all null,
-    so they split nothing — and each check keeps its groups outside its
-    bound as violation rows."""
+    rows pass through; cardinality partials sum per (``__tag__``, key
+    columns) in one Arrow ``group_by`` — a check's unused key columns are
+    all null, so they split nothing — and each check keeps its groups
+    outside its bound; each GroupedSparql check's rows, their prefix
+    stripped, go to :func:`_sparql_groups`.  Every violating group
+    becomes one violation row."""
     tag = block[_TAG]
     names = list(spec.id_columns) + [f for f, _ in VIOLATION_FIELDS]
     out = [block.filter(pc.equal(tag, -1)).select(names)]
     id_types = [block.schema.field(c).type for c in spec.id_columns]
-    keys = dict.fromkeys(_KEY + k for cc in spec.grouped
-                         for k in cc.constraint.group_by)
-    tot = block.filter(pc.greater_equal(tag, 0)).group_by(
-        [_TAG, *keys]).aggregate([("partial_n", "sum")])
+    card = [cc for cc in spec.grouped if _is_cardinality(cc)]
+    if card:
+        keys = dict.fromkeys(_KEY + k for cc in card
+                             for k in cc.constraint.group_by)
+        # only the partial rows carry a count
+        tot = block.filter(pc.is_valid(block["partial_n"])).group_by(
+            [_TAG, *keys]).aggregate([("partial_n", "sum")])
     for i, cc in enumerate(spec.grouped):
         c = cc.constraint
-        mine = tot.filter(pc.equal(tot[_TAG], i))
-        n = mine["partial_n_sum"]
-        bad = mine.filter(pc.greater(n, int(c.max_count))
-                          if isinstance(c, MaxCount)
-                          else pc.less(n, int(c.min_count)))
         group_by = list(c.group_by)
-        groups = pa.table({**{k: bad[_KEY + k] for k in group_by},
-                           "actual_count": bad["partial_n_sum"]})
+        if _is_cardinality(cc):
+            mine = tot.filter(pc.equal(tot[_TAG], i))
+            n = mine["partial_n_sum"]
+            bad = mine.filter(pc.greater(n, int(c.max_count))
+                              if isinstance(c, MaxCount)
+                              else pc.less(n, int(c.min_count)))
+            groups = pa.table({**{k: bad[_KEY + k] for k in group_by},
+                               "actual_count": bad["partial_n_sum"]})
+        else:
+            cols = c.read_columns()
+            rows = block.filter(pc.equal(tag, i)).select(
+                [_KEY + x for x in cols]).rename_columns(cols)
+            groups = _sparql_groups(rows, c)
         out.append(_grouped_violation_rows(groups, cc, group_by, spec,
                                            id_types))
     return pa.concat_tables(out)
@@ -360,92 +390,46 @@ def _key_runs(t: pa.Table, keys: List[str]) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _evaluate_grouped_sparql(
-    ds: "ray.data.Dataset",
-    cc: CompiledConstraint,
-    spec: CompiledSpec,
-    id_types: Optional[List[pa.DataType]] = None,
-) -> "ray.data.Dataset":
-    """C19 grouped form (GroupedSparql): one :func:`_exchange`.
+def _sparql_groups(rows: pa.Table, c) -> pa.Table:
+    """The violating focus groups of GroupedSparql ``c`` among ``rows``,
+    which hold every row of each of their keys: one ``(keys,
+    actual_count)`` row per group — SPARQL ``SELECT DISTINCT $this`` —
+    for the grouped violation-row builder, so focus/value/context match
+    the cardinality family byte-for-byte.
 
-    The exchange ships only ``group_by`` + the columns the check reads
-    (prune-at-the-read).  Each routed block is sorted by the full keys
-    (nulls last) and split into runs of equal keys, one run per focus
-    group; a null key is a group of its own, as under SQL ``GROUP BY``.
-    Each violating group emits ONE ``(keys, actual_count)`` row — SPARQL
-    ``SELECT DISTINCT $this`` — into the grouped violation-row builder,
-    so focus/value/context match the cardinality family byte-for-byte.
+    ``rows`` are sorted by the full keys (nulls last) and split into runs
+    of equal keys, one run per focus group; a null key is a group of its
+    own, as under SQL ``GROUP BY``.
 
+    - declarative :class:`~xpshacl_ray.spec.GroupPredicate` form (wins
+      over ``fn``): every group's metric is one numpy/Arrow pass over the
+      runs (:func:`_predicate_metric`) — no per-focus-group Python.
     - ``fn`` form: ``fn`` runs once per run, on a zero-copy slice;
-      ``max_group_rows`` bounds a run and ``path_rows_only`` prunes
-      non-``path`` rows before the exchange.
-    - declarative :class:`~xpshacl_ray.spec.GroupPredicate` form
-      (wins over ``fn``): every group's metric is one numpy/Arrow pass
-      over the block's runs (:func:`_predicate_metric`) — no
-      per-focus-group Python.
-
-    Partitioning bound: a block holds one hash range of the PRUNED
-    columns, and there are as many ranges as cluster CPUs."""
-    id_types = _id_types(ds, spec, id_types)
-    c = cc.constraint
+      ``max_group_rows`` bounds a run."""
     p = c.predicate
     keys = list(c.group_by)
-    cols = keys + [x for x in _sparql_value_cols(c) if x not in keys]
     order = keys + ([p.order_col] if p is not None and p.agg == "monotone"
                     else [])
-    # contract: fn reads only predicate==path rows and a group without
-    # them never violates — prune BEFORE the exchange so
-    # sparse-predicate groups do not ship at all
-    path_iri = (c.path if p is None and c.path_rows_only and c.path
-                and "predicate" in cols else None)
-    max_rows = c.max_group_rows or 0
-
-    def violating(block: pa.Table, starts: np.ndarray,
-                  sizes: np.ndarray) -> np.ndarray:
-        if p is not None:
-            return np.asarray(p.compare(_predicate_metric(block, sizes, p)),
-                              dtype=bool)
+    rows = rows.sort_by([(k, "ascending") for k in order],
+                        null_placement="at_end")
+    starts = _key_runs(rows, keys)
+    sizes = np.diff(np.append(starts, rows.num_rows))
+    if p is not None:
+        violating = p.compare(_predicate_metric(rows, sizes, p))
+    else:
+        max_rows = c.max_group_rows or 0
         if max_rows and sizes.size and sizes.max() > max_rows:
             raise ValueError(
                 f"GroupedSparql {c.name!r}: focus group of "
                 f"{int(sizes.max())} rows exceeds max_group_rows="
                 f"{max_rows} — a skewed key broke the rows-per-subject "
                 f"bound; cap or salt upstream")
-        return np.array([bool(c.fn(block.slice(s, n)))
-                         for s, n in zip(starts, sizes)], dtype=bool)
-
-    def sweep(block: pa.Table) -> pa.Table:
-        block = block.sort_by([(k, "ascending") for k in order],
-                              null_placement="at_end")
-        starts = _key_runs(block, keys)
-        sizes = np.diff(np.append(starts, block.num_rows))
-        bad = np.flatnonzero(violating(block, starts, sizes))
-        groups = block.take(pa.array(starts[bad], pa.int64())).select(keys)
-        groups = groups.append_column(
-            "actual_count", pa.array(sizes[bad], pa.int64()))
-        return _grouped_violation_rows(groups, cc, keys, spec, id_types)
-
-    def route(b: pa.Table) -> pa.Table:
-        if path_iri is not None:
-            b = b.filter(pc.fill_null(pc.equal(b["predicate"], path_iri),
-                                      False))
-        return _with_route_hash(b, keys)
-
-    routed = ds.select_columns(cols).map_batches(route,
-                                                 batch_format="pyarrow")
-    return _exchange(routed, sweep)
-
-
-def _sparql_value_cols(c) -> List[str]:
-    """The non-key columns a GroupedSparql constraint reads: its
-    declared ``columns`` plus whatever a declarative predicate needs."""
-    cols = list(c.columns)
-    p = getattr(c, "predicate", None)
-    if p is not None:
-        for extra in (p.agg_col, p.where_col, p.order_col):
-            if extra and extra not in cols:
-                cols.append(extra)
-    return cols
+        violating = [bool(c.fn(rows.slice(s, n)))
+                     for s, n in zip(starts, sizes)]
+    bad = np.flatnonzero(np.asarray(violating, dtype=bool))
+    groups = rows.take(pa.array(starts[bad], pa.int64())).select(keys)
+    return groups.append_column("actual_count",
+                                pa.array(sizes[bad], pa.int64()))
 
 
 def _predicate_metric(block: pa.Table, sizes: np.ndarray, p) -> np.ndarray:
