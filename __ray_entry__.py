@@ -2787,7 +2787,7 @@ def q_ttl_sparql_shark(sf_dir: str):
     :class:`~xpshacl_ray.spec.RegexMatch` row constraints and the
     NOT-EXISTS superclass shape a join-aware
     :class:`~xpshacl_ray.spec.SiblingAntiJoin` (one anti-join plan:
-    candidate pairs against edge pairs in a hash-sorted exchange) — all translated
+    candidate pairs against edge pairs in a hash-routed exchange) — all translated
     from the Turtle shapes, zero hand-bound ``sparql_impls``.  The
     oracle is derived independently from the fixture's generation rule.
     (sf_dir-independent by design, like ``ttl_parity``.)"""

@@ -184,9 +184,9 @@ def test_exchange_boundaries_cut_equal_ranges():
     for k in (1, 2, 3, 8):
         b = grouped._exchange_boundaries(k)
         assert b == grouped._exchange_boundaries(k) == sorted(b)
-        assert len(b) == max(1, k - 1)
+        assert len(b) == k - 1
         assert all(-2**63 <= x < 2**63 for x in b)
-    assert grouped._exchange_boundaries(1) == [-2**63]
+    assert grouped._exchange_boundaries(1) == []
     assert grouped._exchange_boundaries(2) == [0]
     edges = [-2**63] + grouped._exchange_boundaries(8) + [2**63]
     assert set(np.diff(edges).tolist()) == {2**61}
@@ -218,6 +218,43 @@ def test_exchange_layout_is_fixed_by_k(k, monkeypatch):
     edges = [-2**63] + grouped._exchange_boundaries(k) + [2**63]
     for lo, hi, _ in first:
         assert bisect.bisect(edges, lo) == bisect.bisect(edges, hi)
+
+
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("case", ["zero_rows", "columnless_blocks",
+                                  "many_blocks"])
+def test_exchange_edge_inputs_match_counter(case, k, monkeypatch):
+    """A zero-row input, an input holding Ray's column-less empty blocks
+    and a many-block input each reduce to the Counter of their keys over
+    k blocks, every column of a block with rows in one chunk."""
+    t = grouped._with_route_hash(_keyed_rows(), ["k", "j"])
+    if case == "zero_rows":
+        t = t.slice(0, 0)
+        blocks = [t, t]
+    elif case == "columnless_blocks":
+        blocks = [pa.table({}), t.slice(0, 700), pa.table({}),
+                  t.slice(700)]
+    else:
+        blocks = [t.slice(i * 50, 50) for i in range(40)]
+    monkeypatch.setattr(grouped, "_exchange_partitions", lambda: k)
+
+    def count_keys(b):
+        return b.group_by(["k", "j"]).aggregate([([], "count_all")])
+
+    got = ray.get(grouped._exchange(ray.data.from_arrow(blocks),
+                                    count_keys).to_arrow_refs())
+    assert len(got) == k
+    rows = []
+    for b in got:
+        if b.num_rows:
+            assert {c.num_chunks for c in b.columns} == {1}
+            rows += zip(b["k"].to_pylist(), b["j"].to_pylist(),
+                        b["count_all"].to_pylist())
+    # each key lands in one block, so no key is counted twice
+    assert len({(kk, jj) for kk, jj, _ in rows}) == len(rows)
+    want = Counter(zip(t["k"].to_pylist(), t["j"].to_pylist()))
+    assert Counter({(kk, jj): n for kk, jj, n in rows}) == want
+    assert (not want) == (case == "zero_rows")
 
 
 def _sibling_case():
@@ -660,9 +697,12 @@ def _two_key_rows(n=2400, seed=12):
 def test_cardinality_checks_share_one_exchange(blocks, k, monkeypatch):
     """Two cardinality checks on different keys (one with null keys), two
     GroupedSparql checks (a predicate and an ``fn``, both with a null
-    key group) and a row-local check run as one scan and ONE sort; each
-    grouped check's output equals its DuckDB ``GROUP BY`` or Counter
-    oracle and the row-local violations equal the in-process kernel's."""
+    key group) and a row-local check run as one scan and ONE exchange:
+    ``validate`` starts one Ray Data execution, holds no ``Sort``
+    operator and returns the exchange's k blocks.  Each grouped check's
+    output equals its DuckDB ``GROUP BY`` or Counter oracle and the
+    row-local violations equal the in-process kernel's."""
+    from test_validate import _counting_executions
     from xpshacl_ray.pipelines.validate import ValidationEngine
     from xpshacl_ray.spec import InSet
     from xpshacl_ray.stages.evaluate import evaluate_row_local
@@ -691,8 +731,11 @@ def test_cardinality_checks_share_one_exchange(blocks, k, monkeypatch):
                                       "lang"],
                           focus_template="file://{repo}/{path}@{commit}")
     monkeypatch.setattr(grouped, "_exchange_partitions", lambda: k)
+    starts = _counting_executions(monkeypatch)
     viol = ValidationEngine(spec).validate(ds)
-    assert len(re.findall(r"Operator \d+ Sort\b", viol.stats())) == 1
+    assert len(starts) == 1
+    assert not re.findall(r"Operator \d+ Sort\b", viol.stats())
+    assert viol.num_blocks() == k
     got = _sorted_table(viol)
     messages = {id(cc.constraint): cc.message
                 for cc in compile_spec(spec).all_compiled()}

@@ -301,12 +301,6 @@ def rolling_fingerprint(values: Sequence[Optional[str]]) -> List[Optional[int]]:
     return out
 
 
-def rolling_fingerprint_column(batch: pa.Table, text_col: str = "text",
-                               out_col: str = "fingerprint_roll") -> pa.Table:
-    vals = rolling_fingerprint(batch[text_col].to_pylist())
-    return batch.append_column(out_col, pa.array(vals, pa.int64()))
-
-
 # ---------------------------------------------------------------------------
 # corpus-global term statistics + stopword scrub (round-2 additions)
 # ---------------------------------------------------------------------------

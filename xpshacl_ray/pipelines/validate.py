@@ -4,14 +4,17 @@ Engine equivalent of the reference's ``main.py`` lifecycle::
 
     driver: compile constraint spec                       # ST1
     keys  = merge(pc.unique per ref block)                # C4 key set
-    viol  = ds.map_batches(scan)       # ONE scan: C1..C20 fused (E1),
+    scan  = ds.map_batches(scan)       # ONE scan: C1..C20 fused (E1),
                                        # C4 broadcast anti-join on keys,
                                        # C1/C2/C11 partials and C19
                                        # GroupedSparql rows, tagged
-            .sort(__h__, k fixed ranges).map_batches(sweep)
-                                       # violations pass, partials reduce,
-                                       # GroupedSparql runs are judged
-            .materialize()                                # in validate
+            .materialize()                                # one execution
+    parts = [route.remote(block, k __h__ ranges)          # plain tasks:
+             for block in scan.to_arrow_refs()]           # the exchange
+    viol  = from_arrow_refs([reduce.remote(sweep, parts[:, j])
+                             for j in range(k)])          # violations pass,
+                                       # partials reduce, GroupedSparql
+                                       # runs are judged
     sigs  = first_per_signature(∪ first_per_signature.remote(block)
                                   for block in viol.to_arrow_refs())
                                                           # G2 exact dedup
@@ -223,10 +226,9 @@ class ValidationEngine:
                 )
         if not (fused or compiled.grouped):
             raise ValueError("spec has no constraints")
-        out = evaluate_scan(ds, replace(compiled, row_local=fused,
-                                        referential=[]))
         try:
-            return out.materialize()
+            return evaluate_scan(ds, replace(compiled, row_local=fused,
+                                             referential=[])).materialize()
         except Exception as err:
             if sch is None:
                 try:

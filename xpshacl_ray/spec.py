@@ -963,7 +963,7 @@ class GroupedSparql(Constraint):
 
     Tabular analog: ``fn(group: pa.Table) -> bool`` — True when the group
     (all rows sharing ``group_by``, co-located by the engine's
-    hash-sorted exchange) violates.  A null key forms its own group, as
+    hash-routed exchange) violates.  A null key forms its own group, as
     under SQL ``GROUP BY``.  One violation row is emitted per violating
     group, mirroring SPARQL ``SELECT DISTINCT $this``; the violation
     ``value``/``actualCount`` carry the group row count, like the
@@ -1044,7 +1044,7 @@ class SiblingAntiJoin(GroupedSparql):
     group's own rows.  One engine plan
     (:func:`xpshacl_ray.stages.grouped.evaluate_sibling_join`): the
     candidate ``(lo, hi)`` pairs of each focus node's distinct values
-    meet the normalized undirected edge pairs in a hash-sorted exchange
+    meet the normalized undirected edge pairs in a hash-routed exchange
     on the pair key, and a pair with no edge row marks its subjects
     violating — reduced in Arrow, no driver-side edge set at any scale.
     ``fn`` stays unset: the declaration is pure data.
@@ -1081,7 +1081,7 @@ class NodeIsolation(GroupedSparql):
     evaluate_node_isolation`): candidate rows (one per focus node, with
     its triple count) union WITNESS rows (subjects of ``outgoing`` /
     objects of ``incoming`` triples from the full graph) through ONE
-    hash-sorted exchange reduced in Arrow — a node with a candidate row and no witness row
+    hash-routed exchange reduced in Arrow — a node with a candidate row and no witness row
     violates.  No broadcast, no per-group Python, no driver state: the
     exchange carries one slim (node, int, int) row per candidate/witness
     occurrence at any scale.

@@ -10,15 +10,21 @@ constraint projects to its key columns only and pre-aggregates counts
 wide `content` column never enters the exchange.
 
 Every plan here co-locates keys one way, :func:`_exchange`: each row
-carries ``__h__``, the int64 view of the composite key hash;
-``sort("__h__")`` over k fixed, equal hash ranges (k = the cluster's
-CPU count) puts equal keys in one block, and one
-``map_batches(batch_size=None)`` call per block reduces it in Arrow on
+carries ``__h__``, the int64 view of the composite key hash; one plain
+Ray task per materialized input block cuts its rows into k fixed, equal
+hash ranges (k = the cluster's CPU count), and one reduce task per range
+concatenates that range's parts and reduces them in one Arrow call on
 the FULL key columns.  The hash only routes, so a collision co-locates
 two keys and nothing else: results stay exact.  A null key is a group of
 its own, as under SQL ``GROUP BY``.  Violation rows are built in that
 same call, with dynamic ``actualCount`` context exactly as the reference
 enriches cardinality context (extended_shacl_validator.py:292-318).
+
+The exchange is plain tasks, not Ray Data's ``sort``: the sort is a
+barrier, and while the scan ran Ray Data reserved CPUs for the operator
+after it, so at these sizes the sort's fixed scheduling costs were the
+exchange's whole cost.  :func:`_exchange` names the alternatives that
+were measured and rejected.
 
 All checks of one ``validate`` share ONE exchange (:func:`evaluate_scan`):
 one ``map_batches`` over the input emits the row-local violations, every
@@ -53,6 +59,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data
 
 from ..functions.sketches import key_hash64
@@ -79,11 +86,41 @@ def _exchange_partitions() -> int:
 
 def _exchange_boundaries(k: int) -> List[int]:
     """The k-1 evenly spaced int64 boundaries that cut ``__h__`` into k
-    equal ranges.  For k = 1, one boundary at the int64 minimum: given no
-    boundaries Ray would sample, and the range below the minimum is
-    empty."""
+    equal ranges; none for k = 1."""
     lo = -2**63
-    return [lo + i * 2**64 // k for i in range(1, k)] or [lo]
+    return [lo + i * 2**64 // k for i in range(1, k)]
+
+
+@ray.remote
+def _exchange_route(block: pa.Table, cuts: List[int]):
+    """One map task of :func:`_exchange`: ``block``'s rows cut into
+    ``len(cuts) + 1`` parts by their ``__h__`` range, each part in block
+    order.  A block without ``__h__`` (Ray's column-less empty block)
+    yields empty parts."""
+    k = len(cuts) + 1
+    if "__h__" not in block.column_names:
+        parts = [pa.table({})] * k
+    else:
+        idx = np.searchsorted(np.asarray(cuts, np.int64),
+                              block["__h__"].to_numpy(), side="right")
+        order = np.argsort(idx, kind="stable")
+        ends = np.cumsum(np.bincount(idx, minlength=k))
+        parts = [block.take(order[a:b])
+                 for a, b in zip(np.append(0, ends[:-1]), ends)]
+    return parts if k > 1 else parts[0]
+
+
+@ray.remote
+def _exchange_reduce(reduce: Callable[[pa.Table], pa.Table],
+                     *parts: pa.Table) -> pa.Table:
+    """One reduce task of :func:`_exchange`: ``reduce`` over this range's
+    parts, concatenated in block order, as one chunk per column.  A range
+    with no rows is not reduced and yields a column-less empty block."""
+    parts = [p for p in parts if p.num_rows]
+    if not parts:
+        return pa.table({})
+    block = pa.concat_tables(parts, promote_options="default")
+    return reduce(block.drop_columns(["__h__"])).combine_chunks()
 
 
 def _exchange(ds: "ray.data.Dataset",
@@ -91,24 +128,43 @@ def _exchange(ds: "ray.data.Dataset",
     """Route rows carrying ``__h__`` so equal hashes share one block, then
     ``reduce`` each whole block (``__h__`` dropped) in one Arrow call.
 
-    The routing sort cuts ``__h__`` at :func:`_exchange_boundaries` for
-    k = :func:`_exchange_partitions`, the cluster's CPU count.  The hash
-    is a uniform 64-bit fold, so equal ranges balance the load without
-    sampling, and the layout depends on k alone.  k is fixed at plan
-    time, not sized from the partials: an estimate of their distinct
-    keys or bytes would cost an execution before the sort.
+    A pull shuffle of plain Ray tasks over ``ds``'s materialized blocks
+    (one Ray Data execution): one :func:`_exchange_route` task per block
+    cuts its rows at :func:`_exchange_boundaries` for k =
+    :func:`_exchange_partitions`, the cluster's CPU count, and k
+    :func:`_exchange_reduce` tasks each reduce one range.  The result
+    holds the k reduced blocks in range order.  The hash is a uniform
+    64-bit fold, so equal ranges balance the load without sampling, and
+    the layout depends on k alone.  k is fixed at plan time, not sized
+    from the partials: an estimate of their distinct keys or bytes would
+    cost an execution first.  A reducer relies on co-location only: its
+    rows are in block order, not in ``__h__`` order.
+
+    Plain tasks, not Ray Data's ``sort`` (the map/reduce that ``sort``
+    runs internally, without its all-to-all operator): at these sizes
+    the sort's fixed costs were the exchange's whole cost.  The sort is
+    a barrier, and Ray Data reserved CPUs for the operator after it
+    while the scan ran; the sort's own tasks used a small share of the
+    wall time.  Rejected: materializing the scan and keeping the sort in
+    a second execution (a smaller gain), and having every reducer read
+    every block with no route step (faster on one node, but it moves k
+    times the bytes across nodes).
 
     Rows need not all be partials: :func:`evaluate_scan` also routes the
     row-local violation rows (hashed by focus node) and the GroupedSparql
     rows through here, so one plan's checks and its violations share a
-    single sort."""
-
-    def sweep(block: pa.Table) -> pa.Table:
-        return reduce(block.drop_columns(["__h__"]))
-
-    bounds = _exchange_boundaries(_exchange_partitions())
-    return ds.sort("__h__", boundaries=bounds).map_batches(
-        sweep, batch_format="pyarrow", batch_size=None)
+    single exchange.  Eager: the input executes before this returns, and
+    a failing ``reduce`` raises here."""
+    k = _exchange_partitions()
+    cuts = _exchange_boundaries(k)
+    routed = [_exchange_route.options(num_returns=k).remote(ref, cuts)
+              for ref in ds.materialize().to_arrow_refs()]
+    if k == 1:  # num_returns=1 gives one ref, not a list of one
+        routed = [[r] for r in routed]
+    fn = ray.put(reduce)
+    return ray.data.from_arrow_refs(
+        [_exchange_reduce.remote(fn, *(r[j] for r in routed))
+         for j in range(k)])
 
 
 def partial_group_counts(batch: pa.Table, keys: List[str],
