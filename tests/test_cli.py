@@ -5,6 +5,7 @@ import pytest
 import json
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from xpshacl_ray.cli import main
@@ -55,6 +56,43 @@ def test_cli_validate_resumable_skips_on_rerun(tmp_path, capsys):
 
     viol = ray.data.read_parquet(s2["data_dir"])
     assert viol.count() > 0
+
+
+def test_cli_resumable_reads_the_key_set_once(tmp_path, capsys,
+                                              monkeypatch):
+    """``--resumable`` computes the commits key set once for all shards,
+    not once per shard, and every shard is still checked against it."""
+    import pyarrow.compute as pc
+
+    from xpshacl_ray.pipelines import validate
+    from xpshacl_ray.stages import referential
+
+    fx = generate_code_files(300, seed=7)
+    shards = tmp_path / "shards"
+    shards.mkdir()
+    repos = fx.table["repo"].unique().to_pylist()
+    for i in range(3):
+        part = fx.table.filter(pc.is_in(fx.table["repo"],
+                                        pa.array(repos[i::3])))
+        pq.write_table(part, str(shards / f"shard{i}.parquet"))
+    commits = str(tmp_path / "commits.parquet")
+    pq.write_table(fx.commits, commits)
+    calls, distinct_keys = [], referential.distinct_keys
+
+    def counting(ds, column):
+        calls.append(column)
+        return distinct_keys(ds, column)
+
+    monkeypatch.setattr(referential, "distinct_keys", counting)
+    monkeypatch.setattr(validate, "distinct_keys", counting)
+    out = str(tmp_path / "out")
+    assert main(["validate", "--input", str(shards), "--commits", commits,
+                 "--out", out, "--resumable"]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert len(summary["ran"]) == 3 and calls == ["commit"]
+    viol = pq.read_table(summary["data_dir"])
+    assert pc.any(pc.ends_with(viol["constraint_id"],
+                               "ClassConstraintComponent")).as_py()
 
 
 @pytest.mark.slow

@@ -80,3 +80,49 @@ def test_manifest_rows_out_equals_the_partition_files(tmp_path):
         counts.append(m.rows_out)
         assert m.rows_out == pq.read_table(m.output_path).num_rows
     assert sorted(counts) == [0, 1, 2]
+
+
+def _delta_runs(shards, out, engine):
+    """ran/skipped/pruned counts and violation ids of a full run, an
+    untouched rerun and a rerun after one shard is rewritten."""
+    reports = [engine.validate_delta(shards, out)]
+    reports.append(engine.validate_delta(shards, out))
+    _write_shard(shards[1], list(range(100, 300)),
+                 [(-1) ** i * i for i in range(200)])
+    reports.append(engine.validate_delta(shards, out))
+    return [(len(r["ran"]), len(r["skipped"]), len(r["pruned"]),
+             sorted(pq.read_table(r["data_dir"])["id"].to_pylist()))
+            for r in reports]
+
+
+def test_validate_delta_reads_each_shard_in_one_block_per_cpu(
+        tmp_path, monkeypatch):
+    """Each shard read is cut into one block per CPU (4 in the test
+    session), and ran/skipped/pruned and the violations match the same
+    runs over Ray's own read plan."""
+    from xpshacl_ray.pipelines import validate
+
+    def write_shards(root):
+        root.mkdir()
+        paths = [str(root / f"shard{i}.parquet") for i in range(3)]
+        for i, p in enumerate(paths):
+            _write_shard(p, list(range(i * 50, i * 50 + 50)),
+                         [(-1) ** j * j for j in range(50)])
+        return paths
+
+    engine, validate_fn, blocks = _engine(), ValidationEngine.validate, []
+
+    def recording(self, ds, **kwargs):
+        ds = ds.materialize()
+        blocks.append(ds.num_blocks())
+        return validate_fn(self, ds, **kwargs)
+
+    monkeypatch.setattr(ValidationEngine, "validate", recording)
+    sized = _delta_runs(write_shards(tmp_path / "a"),
+                        str(tmp_path / "out_a"), engine)
+    assert blocks == [4] * 4
+    monkeypatch.setattr(validate, "read_parquet", ray.data.read_parquet)
+    assert _delta_runs(write_shards(tmp_path / "b"),
+                       str(tmp_path / "out_b"), engine) == sized
+    assert sized[0][:3] == (3, 0, 0) and sized[1][:3] == (0, 3, 0)
+    assert sized[2][:3] == (1, 2, 1)

@@ -110,21 +110,17 @@ def _init_ray(num_cpus):
 def cmd_validate(args) -> int:
     _init_ray(args.num_cpus)
     import ray
-    import ray.data
 
     from .pipelines.code_files import build_engine, code_files_stats_config
-    from .sources.ingest import read_code_table
+    from .sources.ingest import read_code_table, read_parquet
+    from .stages.referential import distinct_keys
     from .state.manifest import run_resumable
 
     t0 = time.perf_counter()
     languages = [x.strip() for x in args.languages.split(",") if x.strip()]
     kg_path = args.kg or os.path.join(args.out, "kg.parquet")
     engine = build_engine(kg_path=kg_path, languages=languages)
-    ref = (
-        {"commit": ray.data.read_parquet(args.commits)}
-        if args.commits
-        else None
-    )
+    ref = {"commit": read_parquet(args.commits)} if args.commits else None
     if ref is None:
         engine.compiled.referential.clear()
 
@@ -138,9 +134,16 @@ def cmd_validate(args) -> int:
         else:
             files = [args.input]
 
+        keys = {}  # the key sets, read once by the first shard that runs
+
         def process(shard_files):
+            if not keys:
+                keys.update(
+                    (cc.constraint.column, ray.put(distinct_keys(
+                        ref[cc.constraint.column], cc.constraint.ref_column)))
+                    for cc in engine.compiled.referential)
             ds = read_code_table(shard_files)
-            return engine.validate(ds, ref_datasets=ref)
+            return engine.validate(ds, ref_keys=keys)
 
         r = run_resumable(files, args.out, process)
         summary.update(ran=r["ran"], skipped=r["skipped"],

@@ -56,6 +56,7 @@ from ..context import ContextRetriever, DomainRule
 from ..explain import DEFAULT_MODEL, ExplainerActor
 from ..justify import tree_json_for_row
 from ..model import VIOLATION_SCHEMA
+from ..sources.ingest import read_parquet
 from ..spec import CompiledSpec, ValidationSpec, compile_spec
 from ..stages.grouped import evaluate_scan
 from ..stages.referential import _RefMask, distinct_keys
@@ -277,7 +278,7 @@ class ValidationEngine:
         cols = self.compiled.required_columns()
 
         def process(files):
-            ds = ray.data.read_parquet(files, columns=cols)
+            ds = read_parquet(files, columns=cols)
             return self.validate(ds, ref_keys=ref_keys)
 
         return run_resumable(

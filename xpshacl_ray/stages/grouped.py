@@ -64,6 +64,7 @@ import ray.data
 
 from ..functions.sketches import key_hash64
 from ..model import VIOLATION_FIELDS
+from ..sources.ingest import cluster_cpus
 from ..spec import CompiledConstraint, CompiledSpec, MaxCount, MinCount
 from .evaluate import evaluate_row_local, violations_schema
 
@@ -80,8 +81,9 @@ def _with_route_hash(t: pa.Table, keys: List[str]) -> pa.Table:
 
 def _exchange_partitions() -> int:
     """k, the number of ``__h__`` ranges of one exchange: the cluster's
-    CPU count, at least 1."""
-    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    CPU count, at least 1, which is also the block count of a small
+    read (:func:`~xpshacl_ray.sources.ingest.read_parquet`)."""
+    return cluster_cpus()
 
 
 def _exchange_boundaries(k: int) -> List[int]:

@@ -21,6 +21,7 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from ..functions.arrowutil import agg_select
+from ..sources.ingest import cluster_cpus
 
 
 def add_tumbling_window(
@@ -295,11 +296,7 @@ def funnel_counts(
     from ..functions.sketches import hash64
 
     if n_buckets <= 0:
-        import ray as _ray
-
-        cpus = (int(_ray.cluster_resources().get("CPU", 8))
-                if _ray.is_initialized() else 8)
-        n_buckets = 4 * cpus
+        n_buckets = 4 * cluster_cpus(default=8)
 
     cols = [user_col, ts_col, type_col]
     pruned = events.select_columns(cols)
