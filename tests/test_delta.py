@@ -82,6 +82,23 @@ def test_manifest_rows_out_equals_the_partition_files(tmp_path):
     assert sorted(counts) == [0, 1, 2]
 
 
+def test_one_shard_validate_delta_starts_one_execution(tmp_path,
+                                                       monkeypatch):
+    """The shard's scan is the only Ray Data execution: the partition
+    write runs as plain tasks over the materialized violation blocks."""
+    from test_validate import _counting_executions
+
+    shard = str(tmp_path / "shard0.parquet")
+    _write_shard(shard, list(range(40)), [(-1) ** i * i for i in range(40)])
+    out = str(tmp_path / "out")
+    starts = _counting_executions(monkeypatch)
+    r = _engine().validate_delta([shard], out)
+    assert len(starts) == 1
+    monkeypatch.undo()
+    assert len(r["ran"]) == 1
+    assert pq.read_table(r["data_dir"]).num_rows == 20
+
+
 def _delta_runs(shards, out, engine):
     """ran/skipped/pruned counts and violation ids of a full run, an
     untouched rerun and a rerun after one shard is rewritten."""

@@ -55,16 +55,3 @@ def test_missing_referent_is_nonconforming(ray_session):
     probe = _RefMask(column="fk", keys_ref=ray.put(keys))
     m = probe.mask(pa.table({"fk": [99]}))
     assert m.to_pylist() == [True]
-
-
-def test_conforming_bloom_parity_with_exact(ray_session):
-    from xpshacl_ray.stages.referential import conforming_bloom
-
-    bloom = conforming_bloom(_dim(), "key",
-                             [MaxInclusive(column="size", bound=45)],
-                             expected_items=64, fp_rate=0.001)
-    probe = _RefMask(column="fk", keys_ref=ray.put(bloom))
-    m = probe.mask(pa.table({"fk": [1, 2, 6, None, 3]}))
-    # same verdicts as the exact path at this fp_rate/size (the Bloom
-    # "absent" side is certain; present side may only UNDER-report)
-    assert m.to_pylist() == [False, True, True, False, False]

@@ -7,6 +7,7 @@ pyshacl rendering)."""
 import os
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from xpshacl_ray.sources.ttl import (
@@ -172,6 +173,24 @@ def test_run_ttl_on_inline_turtle(tmp_path):
     for _, r in report.iterrows():
         assert by_sig[(r["signature_key"], "en")] == r["explanation_en"]
     assert (tmp_path / "out" / "report").exists()
+
+
+def test_run_ttl_writes_a_zero_row_report_on_conforming_data(tmp_path):
+    from xpshacl_ray.sources.ttl import run_ttl
+
+    data, shapes = _inline_turtle(tmp_path)
+    data.write_text("""
+@prefix ex: <http://example.org/> .
+
+ex:p4 a ex:Person ; ex:hasName "D" ; ex:hasAge 40 .
+""")
+    out = tmp_path / "out"
+    res = run_ttl(str(data), str(shapes), languages=["en"],
+                  kg_path=str(tmp_path / "kg.parquet"), out_dir=str(out))
+    assert res["violations"].count() == 0
+    report = pq.read_table(str(out / "report"))
+    assert report.num_rows == 0
+    assert "explanation_en" in report.column_names
 
 
 def test_run_ttl_parses_the_data_file_once(tmp_path, monkeypatch):

@@ -158,10 +158,10 @@ def test_validate_reraises_a_kernel_failure_unchanged(schema_known):
     assert "absent" not in str(err.value)
 
 
-def test_run_starts_at_most_three_executions(tmp_path, monkeypatch):
-    """One ``run``: the referenced keys, validate and the report write.
-    ``validate`` probes no schema, and signature dedup runs as plain
-    tasks over the materialized violation blocks and starts none."""
+def test_run_starts_two_executions(tmp_path, monkeypatch):
+    """One ``run``: the referenced keys and validate.  ``validate`` probes
+    no schema, and signature dedup and the report write run as plain
+    tasks over the materialized violation blocks and start none."""
     fx = generate_code_files(1200, seed=1)
     src, commits = str(tmp_path / "code.parquet"), str(tmp_path / "c.parquet")
     pq.write_table(fx.table, src, row_group_size=300)
@@ -172,7 +172,7 @@ def test_run_starts_at_most_three_executions(tmp_path, monkeypatch):
     res = engine.run(read_code_table(src),
                      ref_datasets={"commit": ray.data.read_parquet(commits)},
                      out_dir=out)
-    assert 0 < len(starts) <= 3
+    assert len(starts) == 2
     monkeypatch.undo()
     n = res["violations"].count()
     assert n > 0

@@ -20,14 +20,14 @@ Engine equivalent of the reference's ``main.py`` lifecycle::
                                                           # G2 exact dedup
     sigs  = add_enrichment(sigs)                          # E2-E7, X1-X5
     expl  = ExplainerActor(kg_path)(sigs)                 # G4/G5/N1-N3
-    report= viol.map_batches(join_explanations(bcast))    # G8 fan-out join
-    report.write_parquet(out); kg.save(kg_path)           # S3/S5
+    write_blocks(viol, out, join_explanations, per_lang)  # G8 join + S3
+    kg.save(kg_path)                                      # S5
 
 The per-signature expensive work (trees, context, explanation) runs on the
 small deduped signature table — never per violation instance — exactly the
 reference's "first instance is representative" semantics (main.py:139-211).
-Only the per-block dedup runs as Ray tasks, one plain task per
-materialized violation block; it returns at most one row per signature
+Of that work only the per-block dedup runs as Ray tasks, one plain task
+per materialized violation block; it returns at most one row per signature
 and block, and the merge, enrichment and explanation of those few rows
 run in the driver process, with the KG cache loaded once there.
 
@@ -36,8 +36,11 @@ referential violations, the MaxCount/MinCount partials and the
 GroupedSparql rows leave one ``map_batches`` call and cross one
 exchange.  It checks the spec's columns without a schema probe (free
 when the input knows its schema, else only after a failed execution).
-One ``run`` thus starts three Ray Data executions: the referenced key
-set, the violations, and the report write.
+One ``run`` thus starts two Ray Data executions: the referenced key
+set and the violations.  The report join and write run as one plain
+task per materialized violation block
+(:func:`~xpshacl_ray.state.manifest.write_blocks`), and so does each
+partition write of ``validate_delta``.
 """
 
 from __future__ import annotations
@@ -55,11 +58,11 @@ from ray.data.dataset import MaterializedDataset
 from ..context import ContextRetriever, DomainRule
 from ..explain import DEFAULT_MODEL, ExplainerActor
 from ..justify import tree_json_for_row
-from ..model import VIOLATION_SCHEMA
 from ..sources.ingest import read_parquet
 from ..spec import CompiledSpec, ValidationSpec, compile_spec
 from ..stages.grouped import evaluate_scan
 from ..stages.referential import _RefMask, distinct_keys
+from ..state.manifest import empty_table, run_resumable, write_blocks
 
 
 def first_per_signature(batch: pa.Table) -> pa.Table:
@@ -107,12 +110,28 @@ def unique_signature_table(violations: "ray.data.Dataset") -> pa.Table:
     if tables:
         return first_per_signature(pa.concat_tables(
             tables, promote_options="default"))
-    # Ray drops the columns of empty blocks, and may lose the schema of
-    # a fully-empty dataset
-    sch = violations.schema(fetch_if_missing=True)
-    if sch is None or not sch.names:
-        return VIOLATION_SCHEMA.empty_table()
-    return pa.schema(list(zip(sch.names, sch.types))).empty_table()
+    # Ray drops the columns of empty blocks
+    return empty_table(violations)
+
+
+def join_explanations(batch: pa.Table, per_lang) -> pa.Table:
+    """G8 kernel: append ``explanation_<lang>`` and ``suggestions_<lang>``
+    to a violation block.
+
+    ``per_lang`` holds (language, rows) pairs, the rows being one
+    explanation row per signature in that language.  Each block finds its
+    signatures there with ``pc.index_in`` and ``take``s both columns,
+    nulls where a signature has no row (main.py:218-248 re-keys every
+    instance by signature).
+    """
+    for lang, t in per_lang:
+        keys = t["signature_key"].combine_chunks()
+        idx = pc.index_in(batch["signature_key"], value_set=keys,
+                          skip_nulls=True)
+        for col in ("explanation", "suggestions"):
+            batch = batch.append_column(
+                f"{col}_{lang}", pc.cast(t[col].take(idx), pa.string()))
+    return batch
 
 
 def add_enrichment(sigs: pa.Table, retriever: ContextRetriever) -> pa.Table:
@@ -273,8 +292,6 @@ class ValidationEngine:
         constraints see one shard at a time, so shard boundaries must
         align with group keys.
         """
-        from ..state.manifest import run_resumable
-
         cols = self.compiled.required_columns()
 
         def process(files):
@@ -328,36 +345,33 @@ class ValidationEngine:
 
     # -- report reconstruction (G8) --------------------------------------
 
+    def _per_language(self, explanations: pa.Table) -> list:
+        """(language, explanation rows) per engine language: the
+        ``per_lang`` argument of :func:`join_explanations`."""
+        lang_col = explanations["language"]
+        return [(lang, explanations.filter(pc.equal(lang_col, lang)))
+                for lang in self.languages]
+
     def report(
         self,
         violations: "ray.data.Dataset",
         explanations: pa.Table,
     ) -> "ray.data.Dataset":
-        """Fan explanations back onto every violation instance.
+        """Fan explanations back onto every violation instance, lazily:
+        :func:`join_explanations` per block, with its K-row explanation
+        slices shipped once via ``ray.put``."""
+        ref = ray.put(self._per_language(explanations))
+        return violations.map_batches(
+            lambda b: join_explanations(b, ray.get(ref)),
+            batch_format="pyarrow")
 
-        Broadcast join: per language, the K-row slice of ``explanations``
-        (one row per signature and language) is shipped once via
-        ``ray.put``; each block finds its signatures in it with
-        ``pc.index_in`` and ``take``s both columns, nulls where a
-        signature has no row (main.py:218-248 re-keys every instance by
-        signature).
-        """
-        lang_col = explanations["language"]
-        ref = ray.put([(lang, explanations.filter(pc.equal(lang_col, lang)))
-                       for lang in self.languages])
-
-        def join(batch: pa.Table) -> pa.Table:
-            for lang, t in ray.get(ref):
-                keys = t["signature_key"].combine_chunks()
-                idx = pc.index_in(batch["signature_key"], value_set=keys,
-                                  skip_nulls=True)
-                for col in ("explanation", "suggestions"):
-                    batch = batch.append_column(
-                        f"{col}_{lang}",
-                        pc.cast(t[col].take(idx), pa.string()))
-            return batch
-
-        return violations.map_batches(join, batch_format="pyarrow")
+    def write_report(self, violations: "ray.data.Dataset",
+                     explanations: pa.Table, out_dir: str) -> int:
+        """Write :meth:`report` into ``out_dir`` with
+        :func:`~xpshacl_ray.state.manifest.write_blocks`, one plain Ray
+        task per violation block, and return its row count."""
+        return write_blocks(violations, out_dir, join_explanations,
+                            self._per_language(explanations))
 
     # -- end-to-end ------------------------------------------------------
 
@@ -391,32 +405,7 @@ class ValidationEngine:
 
             stats = profile(ds, stats_config)
         if out_dir:
-            report.write_parquet(out_dir)
-            # a fully-conforming run emits ZERO rows and write_parquet
-            # then writes nothing at all — keep the report location
-            # readable and schema-stable (same guard as run_resumable)
-            import os
-
-            os.makedirs(out_dir, exist_ok=True)
-            if not any(n.endswith(".parquet") for n in os.listdir(out_dir)):
-                from ..state.manifest import write_empty_parquet
-
-                sch = report.schema(fetch_if_missing=True)
-                fields = (list(zip(sch.names, sch.types))
-                          if sch is not None and sch.names else None)
-                if not fields:
-                    # Ray loses the schema of fully-empty datasets —
-                    # reconstruct: violations columns + per-language
-                    # explanation fan-out columns
-                    vs = violations.schema(fetch_if_missing=True)
-                    if vs is not None and vs.names:
-                        fields = list(zip(vs.names, vs.types))
-                        for lang in self.languages:
-                            fields.append((f"explanation_{lang}",
-                                           pa.string()))
-                            fields.append((f"suggestions_{lang}",
-                                           pa.string()))
-                write_empty_parquet(out_dir, fields=fields)
+            self.write_report(violations, expl_table, out_dir)
         if out_json:
             report.write_json(out_json)
         return {

@@ -35,6 +35,7 @@ silent).
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -2826,7 +2827,8 @@ def run_ttl(
     Returns a dict with ``violations``, ``signatures`` (the explanation
     table, one row per (signature, language)) and ``report`` (every
     violation instance with ``explanation_<lang>`` columns fanned back
-    on).  Writes partitioned Parquet under ``out_dir`` if given."""
+    on).  Writes the report as Parquet into ``<out_dir>/report`` if
+    given, as one zero-row file when the data conforms."""
     from ..pipelines.validate import ValidationEngine
 
     shape_triples, _ = load_turtle(shapes_path)
@@ -2842,13 +2844,10 @@ def run_ttl(
     eng = ValidationEngine(first_spec, kg_path=kg_path,
                            languages=list(languages))
     _, expl_tbl, _ = eng.explained_signatures(viol)
-    report = eng.report(viol, expl_tbl)
     if out_dir is not None:
-        import os
-
-        os.makedirs(out_dir, exist_ok=True)
-        report.write_parquet(os.path.join(out_dir, "report"))
-    return {"violations": viol, "signatures": expl_tbl, "report": report}
+        eng.write_report(viol, expl_tbl, os.path.join(out_dir, "report"))
+    return {"violations": viol, "signatures": expl_tbl,
+            "report": eng.report(viol, expl_tbl)}
 
 
 def validate_ttl(data_path: str, shapes_path: str,

@@ -11,10 +11,10 @@ There is no separate referential stage: ``ValidationEngine.validate`` fuses
 :class:`_RefMask` into the row-local scan, so the probe costs no extra pass
 over the input.  This module builds what gets broadcast — the exact key set
 (:func:`distinct_keys`, :func:`conforming_keys`) or, for dimension sides too
-big to ship exactly, a Bloom filter (:func:`bloom_keys`,
-:func:`conforming_bloom`).  Either is built in one streamed pass with no
-exchange: per-block partials (``pc.unique`` or a partial filter) merge on
-the driver, which holds the broadcast value anyway.
+big to ship exactly, a Bloom filter (:func:`bloom_keys`).  Either is built
+in one streamed pass with no exchange: per-block partials (``pc.unique`` or
+a partial filter) merge on the driver, which holds the broadcast value
+anyway.
 """
 
 from __future__ import annotations
@@ -121,9 +121,9 @@ def conforming_keys(dim_ds: "ray.data.Dataset", key_column: str,
 
 
 def _conforming_filter(key_column: str, constraints: list):
-    """Per-batch kernel shared by :func:`conforming_keys` and
-    :func:`conforming_bloom`: keep rows with a valid key that no
-    constraint flags, project to the key column, pre-dedup."""
+    """Per-batch kernel of :func:`conforming_keys`: keep rows with a
+    valid key that no constraint flags, project to the key column,
+    pre-dedup."""
     import numpy as np
 
     def passing(b: pa.Table) -> pa.Table:
@@ -142,44 +142,25 @@ def _conforming_filter(key_column: str, constraints: list):
     return passing
 
 
-def conforming_bloom(dim_ds: "ray.data.Dataset", key_column: str,
-                     constraints: list, expected_items: int,
-                     fp_rate: float = 0.01):
-    """Bloom-filter form of :func:`conforming_keys` — the scale path
-    when even the CONFORMING key set is too large to broadcast exactly
-    (same trade-off as :func:`bloom_keys`: a Bloom "absent" is a
-    certain violation, up to ``fp_rate`` of true violations are
-    missed; one-sided, quantified)."""
-    flt = _conforming_filter(key_column, constraints)
-    return _merged_bloom(dim_ds, lambda b: flt(b)[key_column],
-                         expected_items, fp_rate)
-
-
 def bloom_keys(ref_ds: "ray.data.Dataset", column: str,
                expected_items: int, fp_rate: float = 0.01):
-    """Mergeable Bloom filter of the referenced key set."""
-    return _merged_bloom(ref_ds.select_columns([column]),
-                         lambda b: b[column], expected_items, fp_rate)
-
-
-def _merged_bloom(ds: "ray.data.Dataset", keys_of, expected_items: int,
-                  fp_rate: float):
-    """Bloom filter of ``keys_of(batch)`` over every batch in one
-    streamed pass, no distinct exchange: per-batch partial filters
-    OR-merge on the driver."""
+    """Mergeable Bloom filter of the referenced key set, in one streamed
+    pass with no distinct exchange: per-batch partial filters OR-merge
+    on the driver."""
     from ..functions.sketches import BloomFilter
 
     def partial(b: pa.Table) -> pa.Table:
         f = BloomFilter(n_items=expected_items, fp_rate=fp_rate)
         # Arrow cast-to-string rendering — must match the probe side
         # (_RefMask) exactly; both are vectorized, no per-value str()
-        s = pc.cast(keys_of(b), pa.string())
+        s = pc.cast(b[column], pa.string())
         if isinstance(s, pa.ChunkedArray):
             s = s.combine_chunks()
         f.add(s.drop_null().to_numpy(zero_copy_only=False))
         return pa.table({"bloom": pa.array([f.to_bytes()], pa.binary())})
 
     out = BloomFilter(n_items=expected_items, fp_rate=fp_rate)
-    for r in ds.map_batches(partial, batch_format="pyarrow").take_all():
+    for r in ref_ds.select_columns([column]).map_batches(
+            partial, batch_format="pyarrow").take_all():
         out.merge(BloomFilter.from_bytes(r["bloom"]))
     return out

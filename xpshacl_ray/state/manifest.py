@@ -20,8 +20,17 @@ import json
 import os
 import shutil
 import time
+import uuid
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+
+import ray
+from ray.data.dataset import MaterializedDataset
+
+from ..model import VIOLATION_SCHEMA
 
 
 @dataclass
@@ -51,27 +60,55 @@ def _dir_sha(path: str) -> str:
     return h.hexdigest()
 
 
-def write_empty_parquet(dir_path: str, schema=None,
-                        fields=None) -> Optional[str]:
-    """Write a zero-row, SCHEMA-STABLE parquet into ``dir_path`` so a
-    fully-conforming partition stays readable downstream.  ``schema`` is
-    a Ray Schema (skipped when absent/nameless — Ray loses the schema of
-    fully-empty datasets); ``fields`` overrides with explicit
-    (name, arrow_type) pairs.  Shared by run_resumable and
-    ValidationEngine.run."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
+def empty_table(ds: "ray.data.Dataset") -> pa.Table:
+    """A zero-row table with the schema of ``ds``, or with the violation
+    schema when Ray has lost it (as it may for a fully-empty Dataset)."""
+    sch = ds.schema(fetch_if_missing=True)
+    if sch is None or not sch.names:
+        return VIOLATION_SCHEMA.empty_table()
+    return pa.schema(list(zip(sch.names, sch.types))).empty_table()
 
-    if fields is None:
-        if schema is None or not schema.names:
-            return None
-        fields = list(zip(schema.names, schema.types))
-    try:
-        path = os.path.join(dir_path, "empty.parquet")
-        pq.write_table(pa.schema(fields).empty_table(), path)
-        return path
-    except (TypeError, pa.ArrowInvalid):
-        return None  # non-Arrow schema types: directory stays empty
+
+@ray.remote
+def _write_block(block, path: str, fn, arg) -> int:
+    if not (block.num_rows and block.num_columns):
+        return 0
+    if fn is not None:
+        block = fn(block, arg)
+    pq.write_table(block, path)
+    return block.num_rows
+
+
+def write_blocks(ds: "ray.data.Dataset", dir_path: str,
+                 fn: Optional[Callable] = None, arg=None) -> int:
+    """Write ``ds`` as Parquet into ``dir_path`` with one plain Ray task
+    per materialized block, and return the number of rows written.
+
+    Each task applies ``fn(block, arg)`` when ``fn`` is given and writes
+    one file ``<uuid>_<i:06d>.parquet``.  The uuid is fresh per call, so
+    a second write into the same directory adds its files, as
+    ``write_parquet`` does.  Blocks without rows or columns (an
+    exchange's empty ranges) are skipped before ``fn`` runs.  When no
+    row is written, one zero-row file of ``fn(empty_table(ds))`` keeps
+    the directory readable and schema-stable.
+
+    A lazy ``ds`` is materialized first; a materialized one starts no Ray
+    Data execution.  ``dir_path`` is resolved here, on the driver, because
+    a worker's working directory is not the driver's."""
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    dir_path = os.path.abspath(dir_path)
+    os.makedirs(dir_path, exist_ok=True)
+    prefix = os.path.join(dir_path, uuid.uuid4().hex)
+    arg_ref = ray.put(arg)
+    rows = sum(ray.get([
+        _write_block.remote(ref, f"{prefix}_{i:06d}.parquet", fn, arg_ref)
+        for i, ref in enumerate(ds.to_arrow_refs())]))
+    if not rows:
+        empty = empty_table(ds)
+        pq.write_table(empty if fn is None else fn(empty, arg),
+                       prefix + "_000000.parquet")
+    return rows
 
 
 class ManifestStore:
@@ -209,24 +246,12 @@ def run_resumable(
             skipped.append(pid)
             continue
         t0 = time.perf_counter()
-        # materialize once: the write consumes the pipeline and the
-        # zero-row schema fallback below must not re-run the whole shard
-        # validation a second time (violations are small vs the shard)
-        ds = process(list(files)).materialize()
+        ds = process(list(files))
         final_dir = os.path.join(out_dir, "data", stage, pid)
         tmp_dir = final_dir + ".tmp"
         shutil.rmtree(tmp_dir, ignore_errors=True)
         shutil.rmtree(final_dir, ignore_errors=True)
-        ds.write_parquet(tmp_dir)
-        # the count of a materialized Dataset is block metadata: no
-        # execution, no read-back of the files just written
-        rows_out = ds.count()
-        # a zero-row result writes NOTHING (not even the directory) —
-        # a fully-conforming shard must still produce a resumable,
-        # schema-stable partition (empty parquet), not a read crash
-        os.makedirs(tmp_dir, exist_ok=True)
-        if not any(n.endswith(".parquet") for n in os.listdir(tmp_dir)):
-            write_empty_parquet(tmp_dir, ds.schema(fetch_if_missing=True))
+        rows_out = write_blocks(ds, tmp_dir)
         os.replace(tmp_dir, final_dir)
         wall = time.perf_counter() - t0
         store.write(
