@@ -787,3 +787,107 @@ def test_cardinality_checks_share_one_exchange(blocks, k, monkeypatch):
     assert want.num_rows > 0
     order = [(c, "ascending") for c in want.column_names]
     assert rows_of(in_set).sort_by(order).equals(want.sort_by(order))
+
+
+def _multi_part_inputs(blocks):
+    """Three parts of one validate with different input schemas and one
+    id column: a MaxCount plus a GroupedSparql check over ONE key value
+    (so its rows fill one ``__h__`` range), a MaxCount on another column
+    with a null key (both MaxCounts are check 0 of their part), and a
+    row-local check alone."""
+    from xpshacl_ray.spec import InSet
+
+    a = pa.table({"id": [f"a{i}" for i in range(6)],
+                  "k": pa.array([7] * 6, pa.int64()),
+                  "v": ["x", "y", "y", "x", "z", "y"]})
+    b = pa.table({"id": [f"b{i}" for i in range(60)],
+                  "g": [None if i % 7 == 0 else f"g{i % 11}"
+                        for i in range(60)],
+                  "w": pa.array([i % 5 for i in range(60)], pa.int64())})
+    c = pa.table({"id": [f"c{i}" for i in range(30)],
+                  "s": [("ok", "bad", None)[i % 3] for i in range(30)]})
+
+    def spec(*constraints):
+        return ValidationSpec(constraints=list(constraints), id_columns=["id"],
+                              focus_template="{id}")
+
+    specs = [
+        spec(MaxCount(column="v", group_by=["k"], max_count=1),
+             GroupedSparql(group_by=["k"], columns=["v"], name="two-values",
+                           predicate=GroupPredicate(
+                               agg="distinct", agg_col="v", op=">=",
+                               value=2))),
+        spec(MaxCount(column="w", group_by=["g"], max_count=4)),
+        spec(InSet(column="s", allowed=["ok"])),
+    ]
+
+    def split(t):
+        step = -(-t.num_rows // blocks)
+        return [t.slice(i * step, step) for i in range(blocks)]
+
+    return [(split(t), compile_spec(s)) for t, s in zip((a, b, c), specs)]
+
+
+def _row_counter(ds):
+    return Counter(tuple(sorted(r.items()))
+                   for b in ds.iter_batches(batch_format="pyarrow",
+                                            batch_size=None)
+                   for r in b.to_pylist())
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_multi_part_scan_equals_the_union_of_its_parts(blocks, k,
+                                                       monkeypatch):
+    """Parts with different inputs in one scan and one exchange give
+    the multiset union of their one-part ``validate`` calls.  At k = 3
+    the first part's rows fill one ``__h__`` range, so the other ranges
+    reduce only the other parts' rows under every part's checks."""
+    from test_validate import _counting_executions
+    from xpshacl_ray.pipelines.validate import validate_parts
+
+    monkeypatch.setattr(grouped, "_exchange_partitions", lambda: k)
+    inputs = _multi_part_inputs(blocks)
+    alone = Counter()
+    for tables, spec in inputs:
+        alone += _row_counter(validate_parts(
+            [(ray.data.from_arrow(tables), spec, None)]))
+    assert {dict(r)["constraint_id"].rsplit("#", 1)[-1] for r in alone} == {
+        "MaxCountConstraintComponent", "InConstraintComponent",
+        "SPARQLConstraintComponent"}
+    # the null key group of the second part renders a null focus
+    assert any(dict(r)["focus_node"] is None for r in alone)
+
+    starts = _counting_executions(monkeypatch)
+    together = validate_parts([(ray.data.from_arrow(tables), spec, None)
+                               for tables, spec in inputs])
+    assert len(starts) == 1
+    monkeypatch.undo()
+    assert together.num_blocks() == k
+    assert _row_counter(together) == alone
+
+    # the ranges each part's scan rows route to
+    pad = grouped._scan_schema([(ray.data.from_arrow(tables), spec)
+                                for tables, spec in inputs])
+    cuts = np.asarray(grouped._exchange_boundaries(k), np.int64)
+    ranges, first_tag = [], 0
+    for tables, spec in inputs:
+        h = np.concatenate([grouped._scan_batch(
+            t, spec, first_tag, pad)["__h__"].to_numpy() for t in tables])
+        ranges.append(set(np.searchsorted(cuts, h, side="right")))
+        first_tag += len(spec.grouped)
+    assert len(ranges[0]) == 1
+    if k > 1:
+        assert ranges[1] - ranges[0]
+
+
+def test_multi_part_scan_needs_one_set_of_id_columns():
+    from xpshacl_ray.pipelines.validate import validate_parts
+
+    (tables, spec), *_ = _multi_part_inputs(1)
+    other = compile_spec(ValidationSpec(
+        constraints=[MaxCount(column="v", group_by=["k"], max_count=1)],
+        id_columns=["v"], focus_template="{v}"))
+    with pytest.raises(ValueError, match="id_columns"):
+        validate_parts([(ray.data.from_arrow(tables), spec, None),
+                        (ray.data.from_arrow(tables), other, None)])

@@ -209,6 +209,7 @@ def test_run_ttl_parses_the_data_file_once(tmp_path, monkeypatch):
                       kg_path=str(tmp_path / "kg.parquet"))
     assert res["report"].count() == 4
     assert parsed.count(str(data)) == 1
+    assert parsed.count(str(shapes)) == 1
 
 
 @needs_fixture(REF_DATA)
@@ -313,25 +314,24 @@ def test_shark_shapes_against_reference_ontology(tmp_path):
 def test_unique_lang_over_triples(tmp_path):
     # shark shapes declare sh:uniqueLang true on rdfs:label/comment —
     # evaluated over the TRIPLES table (multi-valued lang-tagged literals)
-    from xpshacl_ray.sources.ttl import (
-        load_turtle,
-        unique_lang_constraints,
-        validate_unique_lang,
-    )
+    from xpshacl_ray.sources.ttl import long_form_property_shapes
 
-    sh, _ = load_turtle("/root/reference/data/shark_shapes.ttl")
-    pairs = unique_lang_constraints(sh)
+    sh, _ = load_turtle(REF_SHARK)
     # the shark ClassShape declares targetClass owl:Class AND
     # targetSubjectsOf rdfs:subClassOf → its target key is the UNION
     assert any(
         p == "http://www.w3.org/2000/01/rdf-schema#label"
         and "http://www.w3.org/2002/07/owl#Class" in t
-        for t, p in pairs)
+        and facets.get("unique_lang")
+        for t, _, p, facets in long_form_property_shapes(sh))
+
+    def unique_lang_rows(data_path):
+        viol = validate_ttl(data_path, REF_SHARK, long_form=True).to_pandas()
+        return viol[viol["constraint_id"].str.endswith(
+            "UniqueLangConstraintComponent")]
 
     # the reference ontology itself conforms (one label per lang)
-    ont, _ = load_turtle("/root/reference/data/xpshacl_ontology.ttl")
-    viol = validate_unique_lang(ont, sh)
-    assert viol is None or viol.count() == 0
+    assert len(unique_lang_rows(REF_ONTOLOGY)) == 0
 
     # a class with TWO @en labels is caught
     bad = tmp_path / "bad.ttl"
@@ -342,9 +342,82 @@ ex:Thing a owl:Class ;
     rdfs:label "Thing"@en , "Thingy"@en , "Ding"@de ;
     rdfs:comment "A thing."@en .
 """)
-    bad_triples, _ = load_turtle(str(bad))
-    viol = validate_unique_lang(bad_triples, sh)
-    rows = viol.to_pandas()
+    rows = unique_lang_rows(str(bad))
     assert len(rows) == 1
-    assert "UniqueLang" in rows["constraint_id"].iloc[0]
     assert "http://example.org/Thing" in rows["focus_node"].iloc[0]
+
+
+@pytest.mark.parametrize("labels, shared", [
+    ('"x"@en , "y"@en , "z"@de', ["en"]),
+    ('"x"@en , "y"@de', []),
+    ('"x" , "y"', []),
+])
+def test_unique_lang_on_turtle_counts_tagged_values_only(tmp_path, labels,
+                                                         shared):
+    """sh:uniqueLang on a targeted property shape: one violation per
+    (focus, language tag) that two values share; untagged values carry
+    no tag, so they never share one (SHACL 4.4.3)."""
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text("""
+@prefix sh: <http://www.w3.org/ns/shacl#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix ex: <http://example.org/> .
+
+ex:S a sh:NodeShape ;
+  sh:targetClass ex:C ;
+  sh:property [ sh:path rdfs:label ; sh:uniqueLang true ] ;
+  sh:property [ sh:path ex:p ; sh:minCount 1 ] .
+""")
+    data = tmp_path / "data.ttl"
+    data.write_text(f"""
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix ex: <http://example.org/> .
+
+ex:a a ex:C ; rdfs:label {labels} .
+""")
+    viol = validate_ttl(str(data), str(shapes), long_form=True).to_pandas()
+    ul = viol[viol["constraint_id"] == SH + "UniqueLangConstraintComponent"]
+    assert sorted(ul["focus_node"]) == [f"group:{EX}a/{t}" for t in shared]
+    assert (ul["property_path"] ==
+            "http://www.w3.org/2000/01/rdf-schema#label").all()
+    assert (ul["value"] == "2").all()
+    assert (viol["constraint_id"] ==
+            SH + "MinCountConstraintComponent").sum() == 1
+
+
+@pytest.mark.parametrize("fixture, kwargs, executions, exchanges", [
+    ("_ttl_shacl_full_fixture", dict(long_form=True), 1, 1),
+    ("_ttl_paths_fixture", dict(long_form=True), 1, 1),
+    ("_ttl_closed_fixture", dict(long_form=True), 1, 1),
+    ("_ttl_node_recursive_fixture", dict(long_form=True), 1, 0),
+    ("_ttl_auto_fixture", dict(sparql=True), 1, 1),
+    ("_ttl_shark_fixture", dict(sparql=True), 7, 7),
+    ("_ttl_shark_fixture", dict(sparql=True, long_form=True), 7, 7),
+])
+def test_validate_ttl_checks_every_table_in_one_scan(
+        tmp_path, monkeypatch, fixture, kwargs, executions, exchanges):
+    """Every table of a Turtle validate is one part of one scan, so the
+    call and the read of its result start one Ray Data execution and at
+    most one exchange.  On the shark fixture the anti-join plans add
+    their own: the sibling anti-join's three chained exchanges and one
+    per node-isolation check (6 executions, 6 exchanges)."""
+    import __ray_entry__ as entry
+    from test_validate import _counting_executions
+    from xpshacl_ray.stages import grouped
+
+    data, shapes, _ = getattr(entry, fixture)()
+    (tmp_path / "data.ttl").write_text(data)
+    (tmp_path / "shapes.ttl").write_text(shapes)
+    calls = []
+    exchange = grouped._exchange
+
+    def counting_exchange(*args):
+        calls.append(1)
+        return exchange(*args)
+
+    monkeypatch.setattr(grouped, "_exchange", counting_exchange)
+    starts = _counting_executions(monkeypatch)
+    viol = validate_ttl(str(tmp_path / "data.ttl"),
+                        str(tmp_path / "shapes.ttl"), **kwargs)
+    assert len(viol.to_pandas()) > 0
+    assert (len(starts), len(calls)) == (executions, exchanges)

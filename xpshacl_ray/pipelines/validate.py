@@ -31,14 +31,16 @@ per materialized violation block; it returns at most one row per signature
 and block, and the merge, enrichment and explanation of those few rows
 run in the driver process, with the KG cache loaded once there.
 
-``validate`` is eager and scans its input once: row-local and
-referential violations, the MaxCount/MinCount partials and the
-GroupedSparql rows leave one ``map_batches`` call and cross one
-exchange.  It checks the spec's columns without a schema probe (free
-when the input knows its schema, else only after a failed execution).
-One ``run`` thus starts two Ray Data executions: the referenced key
-set and the violations.  The report join and write run as one plain
-task per materialized violation block
+:func:`validate_parts` is eager and scans each of its input parts
+once: row-local and referential violations, the MaxCount/MinCount
+partials and the GroupedSparql rows leave one ``map_batches`` call per
+part, and all parts cross one exchange.  It checks each spec's columns
+without a schema probe (free when the input knows its schema, else only
+after a failed execution).  ``validate`` is its one-part case, and a
+Turtle validate (:func:`~xpshacl_ray.sources.ttl.validate_ttl`) passes
+one part per table.  One ``run`` thus starts two Ray Data executions:
+the referenced key set and the violations.  The report join and write
+run as one plain task per materialized violation block
 (:func:`~xpshacl_ray.state.manifest.write_blocks`), and so does each
 partition write of ``validate_delta``.
 """
@@ -46,7 +48,7 @@ partition write of ``validate_delta``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -144,6 +146,77 @@ def add_enrichment(sigs: pa.Table, retriever: ContextRetriever) -> pa.Table:
     ).append_column("retrieved_context", pa.array(ctxs, pa.string()))
 
 
+def _check_columns(spec: CompiledSpec, names: Sequence[str],
+                   cause=None) -> None:
+    """Raise ``ValueError`` naming the columns of ``spec`` absent from
+    ``names`` (chained to ``cause``), if there are any."""
+    missing = set(spec.required_columns()) - set(names)
+    if missing:
+        raise ValueError(
+            f"spec references columns absent from the dataset: "
+            f"{sorted(missing)} (have: {list(names)})"
+        ) from cause
+
+
+def _fuse_referential(spec: CompiledSpec, refs: Dict[str, object]
+                      ) -> CompiledSpec:
+    """``spec`` with each referential check turned row-local: a
+    :class:`~xpshacl_ray.stages.referential._RefMask` over its column's
+    key set in ``refs`` (an array, an object ref of one, or a Dataset
+    whose distinct ``ref_column`` values it is)."""
+    fused = list(spec.row_local)
+    for cc in spec.referential:
+        col = cc.constraint.column
+        keys = refs[col]
+        if isinstance(keys, ray.data.Dataset):
+            keys = distinct_keys(keys, cc.constraint.ref_column)
+        fused.append(replace(cc, constraint=_RefMask(
+            column=col,
+            keys_ref=keys if isinstance(keys, ray.ObjectRef) else ray.put(keys),
+            null_is_violation=getattr(cc.constraint, "null_is_violation",
+                                      False))))
+    if not (fused or spec.grouped):
+        raise ValueError("spec has no constraints")
+    return replace(spec, row_local=fused, referential=[])
+
+
+def validate_parts(parts: Sequence[Tuple["ray.data.Dataset", CompiledSpec,
+                                         Optional[Dict[str, object]]]]
+                   ) -> "ray.data.Dataset":
+    """The violations of every ``(ds, spec, refs)`` part from ONE
+    :func:`~xpshacl_ray.stages.grouped.evaluate_scan`: each input is
+    scanned once, with its referential checks fused in
+    (:func:`_fuse_referential`), and all parts cross one exchange.  The
+    parts must share ``id_columns``.
+
+    Eager: the violations are materialized before returning, and a spec
+    column absent from its part's input raises ``ValueError`` here.  The
+    columns are checked up front when the input knows its schema without
+    executing; otherwise only a failed execution reads the schema, and a
+    failure that no absent column explains is re-raised as is.
+    """
+    if len({tuple(spec.id_columns) for _, spec, _ in parts}) > 1:
+        raise ValueError("the parts of one validate must share id_columns")
+    unchecked, planned = [], []
+    for ds, spec, refs in parts:
+        sch = ds.schema(fetch_if_missing=False)
+        if sch is None:
+            unchecked.append((ds, spec))
+        else:
+            _check_columns(spec, sch.names)
+        planned.append((ds, _fuse_referential(spec, refs or {})))
+    try:
+        return evaluate_scan(planned).materialize()
+    except Exception as err:
+        for ds, spec in unchecked:
+            try:
+                names = ds.schema().names
+            except Exception:
+                raise err
+            _check_columns(spec, names, cause=err)
+        raise
+
+
 @dataclass
 class ValidationResult:
     """(conforms, report, stats) — the library-facade API the reference's
@@ -205,68 +278,12 @@ class ValidationEngine:
         ref_datasets: Optional[Dict[str, "ray.data.Dataset"]] = None,
         ref_keys: Optional[Dict[str, pa.Array]] = None,
     ) -> "ray.data.Dataset":
-        """Full violations Dataset, materialized: one scan of ``ds`` emits
-        the row-local, referential, MaxCount/MinCount and GroupedSparql
-        violations (:func:`~xpshacl_ray.stages.grouped.evaluate_scan`).
-
-        Referential checks are FUSED into that scan — their mask is
-        row-local once the referenced key set is broadcast.  Cardinality
-        partials and the GroupedSparql checks' pruned rows leave the same
-        ``map_batches`` call and share ONE exchange with the violation
-        rows, so the input is read once.
-
-        Eager: the violations are materialized before returning, and a
-        spec column absent from ``ds`` raises ``ValueError`` here.  The
-        columns are checked up front when ``ds`` knows its schema without
-        executing; otherwise only a failed execution reads the schema,
-        and a failure that no absent column explains is re-raised as is.
-        """
-        compiled = self.compiled
-        sch = ds.schema(fetch_if_missing=False)
-        if sch is not None:
-            self._check_columns(sch.names)
-        fused = list(compiled.row_local)
-        if compiled.referential:
-            keys = dict(ref_keys or {})
-            for cc in compiled.referential:
-                col = cc.constraint.column
-                if col not in keys:
-                    ref_ds = (ref_datasets or {})[col]
-                    keys[col] = distinct_keys(ref_ds, cc.constraint.ref_column)
-                key_arr = keys[col]
-                key_ref = (key_arr if isinstance(key_arr, ray.ObjectRef)
-                           else ray.put(key_arr))
-                fused.append(
-                    replace(cc, constraint=_RefMask(
-                        column=col,
-                        keys_ref=key_ref,
-                        null_is_violation=getattr(
-                            cc.constraint, "null_is_violation", False),
-                    ))
-                )
-        if not (fused or compiled.grouped):
-            raise ValueError("spec has no constraints")
-        try:
-            return evaluate_scan(ds, replace(compiled, row_local=fused,
-                                             referential=[])).materialize()
-        except Exception as err:
-            if sch is None:
-                try:
-                    names = ds.schema().names
-                except Exception:
-                    raise err
-                self._check_columns(names, cause=err)
-            raise
-
-    def _check_columns(self, names: Sequence[str], cause=None) -> None:
-        """Raise ``ValueError`` naming the spec's columns absent from
-        ``names`` (chained to ``cause``), if there are any."""
-        missing = set(self.compiled.required_columns()) - set(names)
-        if missing:
-            raise ValueError(
-                f"spec references columns absent from the dataset: "
-                f"{sorted(missing)} (have: {list(names)})"
-            ) from cause
+        """Full violations Dataset, materialized: :func:`validate_parts`
+        with ``ds`` as its one part.  A referential check's key set is
+        its column's entry of ``ref_keys``, else the distinct
+        ``ref_column`` values of its ``ref_datasets`` entry."""
+        return validate_parts([(ds, self.compiled,
+                                {**(ref_datasets or {}), **(ref_keys or {})})])
 
     def validate_delta(
         self,

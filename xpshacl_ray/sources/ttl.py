@@ -34,6 +34,7 @@ silent).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import re
@@ -422,6 +423,15 @@ def _sp_index(triples: List[Triple]) -> Dict[Tuple[str, str], List[Triple]]:
     return obj
 
 
+def _types_by_subject(triples: List[Triple]) -> Dict[str, set]:
+    """Each subject's explicit ``rdf:type`` objects."""
+    types: Dict[str, set] = {}
+    for t in triples:
+        if t.p == RDF_TYPE:
+            types.setdefault(t.s, set()).add(t.o)
+    return types
+
+
 def _first(obj, s, p) -> Optional[Triple]:
     lst = obj.get((s, p))
     return lst[0] if lst else None
@@ -724,6 +734,15 @@ def target_subjects(data_triples: List[Triple], target: str,
     return out
 
 
+def _subject_spec(constraints: List):
+    """The spec of ``constraints`` over one Turtle table: focus = the
+    ``subject`` column, the one id column all the tables share."""
+    from ..spec import ValidationSpec
+
+    return ValidationSpec(constraints=constraints, id_columns=["subject"],
+                          focus_template="{subject}")
+
+
 def shapes_to_specs(triples: List[Triple], long_form: bool = False):
     """Compile NodeShapes into {target_class: ValidationSpec}.
 
@@ -738,11 +757,7 @@ def shapes_to_specs(triples: List[Triple], long_form: bool = False):
     for shape, target in _shape_target_keys(triples, obj):
         constraints = _row_local_constraints(obj, shape, long_form)
         if constraints:
-            specs[target] = ValidationSpec(
-                constraints=constraints,
-                id_columns=["subject"],
-                focus_template="{subject}",
-            )
+            specs[target] = _subject_spec(constraints)
     return specs
 
 
@@ -913,24 +928,6 @@ def _value_facet_constraints(obj, node: str, col: str, shape_id: str,
     return out
 
 
-def unique_lang_constraints(triples: List[Triple]):
-    """``sh:uniqueLang true`` property shapes (shark_shapes.ttl) →
-    [(target_class, predicate)] — evaluated over the TRIPLES table (the
-    entity pivot keeps only first values, so multi-valued lang-tagged
-    literals need the long form)."""
-    obj = _sp_index(triples)
-    out = []
-    for shape, target in _shape_target_keys(triples, obj):
-        for pt in obj.get((shape, SH_NS + "property"), []):
-            if _deactivated(obj, pt.o):
-                continue
-            path_t = _first(obj, pt.o, SH_NS + "path")
-            ul = _first(obj, pt.o, SH_NS + "uniqueLang")
-            if path_t is not None and ul is not None and ul.o == "true":
-                out.append((target, path_t.o))
-    return out
-
-
 def closed_node_shapes(triples: List[Triple]):
     """``sh:closed true`` node shapes → ``[(target_key, shape,
     allowed_predicates, message)]`` where allowed = the shape's direct
@@ -958,49 +955,6 @@ def closed_node_shapes(triples: List[Triple]):
         out.append((target, shape, sorted(allowed),
                     msg.o if msg is not None else None,
                     _severity(obj, shape, shape)))
-    return out
-
-
-def validate_unique_lang(data_triples: List[Triple],
-                         shape_triples: List[Triple]):
-    """C11 over Turtle input: for every ``sh:uniqueLang true`` property
-    shape, flag subjects of the target class carrying >1 value of the
-    predicate with the SAME language tag.  Runs the engine's grouped
-    UniqueLang constraint over the triples table (per-batch combiner +
-    small groupby — the long-form path the entity pivot can't express)."""
-    import ray.data
-
-    from ..pipelines.validate import ValidationEngine
-    from ..spec import UniqueLang, ValidationSpec
-
-    pairs = unique_lang_constraints(shape_triples)
-    types: Dict[str, set] = {}
-    for t in data_triples:
-        if t.p == RDF_TYPE:
-            types.setdefault(t.s, set()).add(t.o)
-    parts = []
-    for target_class, pred in sorted(set(pairs)):
-        focus = set(target_subjects(data_triples, target_class, types))
-        rows = [
-            {"subject": t.s, "object": t.o, "lang": t.lang or ""}
-            for t in data_triples
-            if t.p == pred and t.s in focus
-        ]
-        if not rows:
-            continue
-        ds = ray.data.from_items(rows)
-        spec = ValidationSpec(
-            constraints=[UniqueLang(column="object", group_by=["subject"],
-                                    lang_column="lang", shape_id=pred)],
-            id_columns=[],
-            focus_template="{subject}",
-        )
-        parts.append(ValidationEngine(spec).validate(ds))
-    if not parts:
-        return None
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
     return out
 
 
@@ -1172,6 +1126,9 @@ def long_form_property_shapes(triples: List[Triple]):
                         "checker": structural or bool(siblings),
                         "siblings": siblings,
                     }
+            ul = _first(obj, pshape, SH_NS + "uniqueLang")
+            if ul is not None and ul.o == "true":
+                facets["unique_lang"] = True
             li = _first(obj, pshape, SH_NS + "languageIn")
             if li is not None:
                 if li.kind == "literal":
@@ -1682,23 +1639,53 @@ def validate_ttl_long(data_triples: List[Triple],
                       shape_triples: List[Triple]):
     """Long-form constraints over the triples table: grouped cardinality
     (sh:maxCount / sh:minCount > 1 per focus subject), sh:nodeKind,
-    sh:class (referential against the class's member set) and
-    sh:languageIn — everything the first-value entity pivot can't see.
+    sh:class (referential against the class's member set),
+    sh:languageIn and sh:uniqueLang — everything the first-value entity
+    pivot can't see — plus sh:closed and the node-level constraints of
+    targeted shapes.
 
-    One projected dataset per (target class, predicate): rows
-    ``(subject, object, kind, lang)`` for every matching triple, plus one
-    null-object row per target subject with NO such triple (so grouped
-    minCount counts zero-valued subjects).  Runs the engine's grouped
-    combiner + small groupby; row-local facets ride the same scan.
-    Returns a violations Dataset, or None when no long-form shapes
-    apply.  TTL inputs are driver-parsed (small by construction — the
-    100 TB path is Parquet); the per-shape row build is driver-side by
-    design."""
+    The parts are :func:`_long_form_parts`' tables, validated together
+    by one :func:`~xpshacl_ray.pipelines.validate.validate_parts` call
+    (one scan, one exchange).  Returns the materialized violations
+    Dataset, or None when no long-form shapes apply."""
+    parts = _long_form_parts(data_triples, shape_triples)
+    return _validate_tables(parts) if parts else None
+
+
+def _validate_tables(parts: List[Tuple[pa.Table, object, Optional[dict]]]):
+    """:func:`~xpshacl_ray.pipelines.validate.validate_parts` over
+    ``(table, ValidationSpec, ref_keys)`` parts: one scan and at most one
+    exchange for all of them."""
     import ray.data
 
-    from ..pipelines.validate import ValidationEngine
+    from ..pipelines.validate import validate_parts
+    from ..spec import compile_spec
+
+    return validate_parts([(ray.data.from_arrow(t), compile_spec(spec), refs)
+                           for t, spec, refs in parts])
+
+
+def _long_form_parts(data_triples: List[Triple],
+                     shape_triples: List[Triple]):
+    """The ``(table, ValidationSpec, ref_keys)`` parts of
+    :func:`validate_ttl_long`, empty when no long-form shapes apply.
+
+    One projected table per (target class, predicate): rows
+    ``(subject, object, kind, lang)`` for every matching triple, plus one
+    null-object row per target subject with NO such triple (so grouped
+    minCount counts zero-valued subjects); the grouped and row-local
+    facets of that property shape check it.  Then one table per
+    (sh:closed shape, undeclared predicate) and one per targeted shape
+    with node-level constraints.  TTL inputs are driver-parsed (small by
+    construction — the 100 TB path is Parquet); the per-shape row build
+    is driver-side by design."""
+    import numpy as np
+
     from ..spec import (
+        Closed,
         Datatype,
+        GroupedSparql,
+        GroupPredicate,
         InSet,
         LanguageIn,
         MaxCount,
@@ -1709,27 +1696,20 @@ def validate_ttl_long(data_triples: List[Triple],
         MinExclusive,
         MinInclusive,
         MinLength,
+        NodeConformance,
         NodeKind,
         Pattern,
         Referential,
-        ValidationSpec,
+        UniqueLang,
     )
 
-    shapes = long_form_property_shapes(shape_triples)
-    _obj_gate = _sp_index(shape_triples)
-    has_node_level = any(
-        any((sh_, p) in _obj_gate for p in _NODE_LEVEL_PREDS)
-        for sh_, _tk in _shape_target_keys(shape_triples, _obj_gate))
-    if (not shapes and not closed_node_shapes(shape_triples)
-            and not has_node_level):
-        return None
-    types: Dict[str, set] = {}
-    for t in data_triples:
-        if t.p == RDF_TYPE:
-            types.setdefault(t.s, set()).add(t.o)
-    checker: Optional[_NodeChecker] = None  # built once, on first sh:node
+    obj = _sp_index(shape_triples)
+    types = _types_by_subject(data_triples)
+    # built once, on first use: it indexes the whole data graph
+    checker = functools.cache(lambda: _NodeChecker(data_triples, obj, types))
     parts = []
-    for target, pshape, pred, facets in shapes:
+    for target, pshape, pred, facets in long_form_property_shapes(
+            shape_triples):
         subjects = sorted(target_subjects(data_triples, target, types))
         if not subjects:
             continue
@@ -1779,23 +1759,16 @@ def validate_ttl_long(data_triples: List[Triple],
             # row; STRUCTURAL shapes (sh:property / sh:node / class /
             # logicals / ...) conform per the full recursive
             # _NodeChecker verdict (memoized per distinct term)
-            import numpy as np
-
-            from ..spec import GroupedSparql, GroupPredicate
-
             q = facets["qualified"]
             if q.get("checker"):
-                if checker is None:
-                    checker = _NodeChecker(
-                        data_triples, _sp_index(shape_triples), types)
                 qv_shape = str(q["shape"])
                 sibs = q.get("siblings") or []
 
                 def _qconf(v, k, lg):
                     # disjoint counting: conforms to Q and to NO
                     # sibling qualified shape (spec §4.5.3)
-                    return (checker.conforms((v, k, lg), qv_shape)
-                            and not any(checker.conforms((v, k, lg), s)
+                    return (checker().conforms((v, k, lg), qv_shape)
+                            and not any(checker().conforms((v, k, lg), s)
                                         for s in sibs))
 
                 qok = np.array(
@@ -1804,18 +1777,12 @@ def validate_ttl_long(data_triples: List[Triple],
                                          cols["lang"])], dtype=object)
             else:
                 qcs = _value_facet_constraints(
-                    _sp_index(shape_triples), str(q["shape"]), "object",
+                    obj, str(q["shape"]), "object",
                     pshape, None)
                 bad = np.zeros(len(table), dtype=bool)
                 for qc in qcs:
-                    m = qc.mask(table)
-                    if isinstance(m, pa.ChunkedArray):
-                        m = m.combine_chunks()
-                    bad |= np.asarray(m, dtype=bool)
-                valid = np.asarray(pc.is_valid(
-                    table["object"].combine_chunks()
-                    if isinstance(table["object"], pa.ChunkedArray)
-                    else table["object"]))
+                    bad |= np.asarray(qc.mask(table), dtype=bool)
+                valid = np.asarray(pc.is_valid(table["object"]))
                 qok = np.where(valid & ~bad, "1", "0")
             table = table.append_column("qok", pa.array(qok, pa.string()))
             if q["min"] is not None:
@@ -1859,17 +1826,12 @@ def validate_ttl_long(data_triples: List[Triple],
             # operators, closed, unbounded depth), then emit one
             # NodeConstraintComponent violation per (focus, value) pair
             # whose value landed in the nonconforming set
-            from ..spec import NodeConformance
-
             ns = str(facets["node_shape"])
-            if checker is None:
-                checker = _NodeChecker(data_triples,
-                                       _sp_index(shape_triples), types)
             nonconforming = sorted(
                 {v for v, k, lg in zip(cols["object"], cols["kind"],
                                        cols["lang"])
                  if v is not None
-                 and not checker.conforms((v, k, lg), ns)})
+                 and not checker().conforms((v, k, lg), ns)})
             constraints.append(NodeConformance(
                 column="object", nonconforming=nonconforming,
                 node_shape=ns, shape_id=pshape, message=msg,
@@ -1879,11 +1841,6 @@ def validate_ttl_long(data_triples: List[Triple],
             # verdicts from the recursive checker, combined by the
             # SHACL truth table, reported under the operator's own
             # component (one violation per (focus, failing value))
-            from ..spec import NodeConformance
-
-            if checker is None:
-                checker = _NodeChecker(data_triples,
-                                       _sp_index(shape_triples), types)
             distinct_terms = sorted(
                 {(v, k, lg or "") for v, k, lg in
                  zip(cols["object"], cols["kind"], cols["lang"])
@@ -1891,7 +1848,7 @@ def validate_ttl_long(data_triples: List[Triple],
             for op, operands in facets["logical"]:
                 bad = set()
                 for term in distinct_terms:
-                    hits = [checker.conforms(term, o) for o in operands]
+                    hits = [checker().conforms(term, o) for o in operands]
                     viol = ((op == "not" and hits[0])
                             or (op == "and" and not all(hits))
                             or (op == "or" and not any(hits))
@@ -1909,15 +1866,9 @@ def validate_ttl_long(data_triples: List[Triple],
             # TERM equals the required value (lexical + kind + lang) —
             # a computed match column feeds the declarative
             # GroupPredicate, so it runs on the vectorized bucket sweep
-            import numpy as np
-
-            from ..spec import GroupedSparql, GroupPredicate
-
             hv_o, hv_kind, hv_lang = facets["has_value"]
-            obj_a = table["object"].combine_chunks() \
-                if isinstance(table["object"], pa.ChunkedArray) \
-                else table["object"]
-            m = (np.asarray(pc.fill_null(pc.equal(obj_a, hv_o), False))
+            m = (np.asarray(pc.fill_null(
+                     pc.equal(table["object"], hv_o), False))
                  & np.asarray(pc.fill_null(
                      pc.equal(table["kind"], hv_kind), False))
                  & np.asarray(pc.fill_null(
@@ -1933,6 +1884,17 @@ def validate_ttl_long(data_triples: List[Triple],
                 name=f"has-value:{hv_o}",
                 shape_id=pshape,
                 message=msg or f"Missing required value {hv_o} on {pred}"))
+        if "unique_lang" in facets:
+            # sh:uniqueLang: no two values share a NON-EMPTY language
+            # tag (SHACL 4.4.3) — the counted column is null on the
+            # untagged values, so they never count; one violation per
+            # (subject, shared tag)
+            table = table.append_column("tagged", pc.if_else(
+                pc.not_equal(table["lang"], ""), table["object"],
+                pa.scalar(None, pa.string())))
+            constraints.append(UniqueLang(
+                column="tagged", group_by=["subject"], lang_column="lang",
+                shape_id=pshape, message=msg, path=pred))
         if "node_kind" in facets:
             kind = str(facets["node_kind"])
             constraints.append(NodeKind(
@@ -1999,17 +1961,11 @@ def validate_ttl_long(data_triples: List[Triple],
         if "severity" in facets:
             for c in constraints:
                 c.severity = str(facets["severity"])
-        # id_columns carries the focus subject so the schema unions
-        # cleanly with the entity-pivot violations in validate_ttl
-        spec = ValidationSpec(constraints=constraints,
-                              id_columns=["subject"],
-                              focus_template="{subject}")
-        parts.append(ValidationEngine(spec).validate(
-            ray.data.from_arrow(table), ref_keys=ref_keys))
+        # id_columns carries the focus subject, as every part of
+        # validate_ttl does: the parts share one scan
+        parts.append((table, _subject_spec(constraints), ref_keys))
     # sh:closed: undeclared predicates on focus nodes, one violation
     # per offending (predicate, value) with the true resultPath
-    from ..spec import Closed
-
     for target, shape, allowed, cmsg, csev in closed_node_shapes(
             shape_triples):
         focus = set(target_subjects(data_triples, target, types))
@@ -2026,38 +1982,29 @@ def validate_ttl_long(data_triples: List[Triple],
                 "predicate": pa.array([t.p for t in ts], pa.string()),
                 "object": pa.array([t.o for t in ts], pa.string()),
             })
-            spec = ValidationSpec(
-                constraints=[Closed(
-                    column="predicate", allowed=allowed, path=p,
-                    value_column="object", shape_id=shape,
-                    message=cmsg, severity=csev)],
-                id_columns=["subject"], focus_template="{subject}")
-            parts.append(ValidationEngine(spec).validate(
-                ray.data.from_arrow(table)))
+            parts.append((table, _subject_spec([Closed(
+                column="predicate", allowed=allowed, path=p,
+                value_column="object", shape_id=shape,
+                message=cmsg, severity=csev)]), None))
     # node-level constraints on TARGETED shapes: value facets /
     # sh:hasValue / sh:node / logical operators applied to the FOCUS
     # node itself (pyshacl evaluates these against every focus node;
     # property shapes and sh:closed have their dedicated paths above).
     # Verdicts come from the recursive checker, reported per true
     # SHACL component, value = the focus node
-    from ..spec import NodeConformance
-
-    obj_sh2 = _sp_index(shape_triples)
-    for shape, target in _shape_target_keys(shape_triples, obj_sh2):
-        if not any((shape, p) in obj_sh2 for p in _NODE_LEVEL_PREDS):
+    for shape, target in _shape_target_keys(shape_triples, obj):
+        if not any((shape, p) in obj for p in _NODE_LEVEL_PREDS):
             continue
         focus = sorted(target_subjects(data_triples, target, types))
         if not focus:
             continue
-        if checker is None:
-            checker = _NodeChecker(data_triples, obj_sh2, types)
-        msg_t = _first(obj_sh2, shape, SH_NS + "message")
+        msg_t = _first(obj, shape, SH_NS + "message")
         nmsg = msg_t.o if msg_t is not None else None
-        sev = _severity(obj_sh2, shape, shape)
+        sev = _severity(obj, shape, shape)
         bad_by_comp: Dict[str, List[str]] = {}
         for s in focus:
             skind = "bnode" if s.startswith("_:") else "iri"
-            for comp, ok in checker.node_level_verdicts(
+            for comp, ok in checker().node_level_verdicts(
                     (s, skind, ""), shape).items():
                 if not ok:
                     bad_by_comp.setdefault(comp, []).append(s)
@@ -2065,21 +2012,12 @@ def validate_ttl_long(data_triples: List[Triple],
             continue
         table = pa.table({"subject": pa.array(focus, pa.string()),
                           "object": pa.array(focus, pa.string())})
-        spec = ValidationSpec(
-            constraints=[NodeConformance(
-                column="object", nonconforming=sorted(bad),
-                node_shape=shape, shape_id=shape, component=comp,
-                message=nmsg, value_column="object", severity=sev)
-                for comp, bad in sorted(bad_by_comp.items())],
-            id_columns=["subject"], focus_template="{subject}")
-        parts.append(ValidationEngine(spec).validate(
-            ray.data.from_arrow(table)))
-    if not parts:
-        return None
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
+        parts.append((table, _subject_spec([NodeConformance(
+            column="object", nonconforming=sorted(bad),
+            node_shape=shape, shape_id=shape, component=comp,
+            message=nmsg, value_column="object", severity=sev)
+            for comp, bad in sorted(bad_by_comp.items())]), None))
+    return parts
 
 
 def sparql_constraints(triples: List[Triple]) -> List[Dict[str, str]]:
@@ -2719,6 +2657,12 @@ def sparql_grouped_constraints(shape_triples: List[Triple]):
     ``(entry, constraint)`` pairs (``entry`` is the same dict
     :func:`sparql_sqlchecks` yields, carrying the target class for
     scoping) and ``still_skipped`` the untranslatable remainder."""
+    return _translate_skipped(sparql_sqlchecks(shape_triples)[1])
+
+
+def _translate_skipped(skipped: List[Dict]):
+    """:func:`sparql_grouped_constraints` over the blocks that
+    :func:`sparql_sqlchecks` left untranslated."""
     from ..spec import (
         GroupedSparql,
         GroupPredicate,
@@ -2728,7 +2672,6 @@ def sparql_grouped_constraints(shape_triples: List[Triple]):
         TransitiveCycle,
     )
 
-    _checks, skipped = sparql_sqlchecks(shape_triples)
     impls = []
     still = []
     for entry in skipped:
@@ -2835,9 +2778,10 @@ def run_ttl(
     specs = shapes_to_specs(shape_triples)
     if not specs:
         raise ValueError("no applicable shapes/targets found")
-    viol = validate_ttl(data_path, shapes_path,
-                        long_form=long_form, sparql=sparql,
-                        sparql_impls=sparql_impls).materialize()
+    viol = _ttl_violations(
+        load_turtle(data_path)[0], shape_triples,
+        shapes_to_specs(shape_triples, long_form=True) if long_form
+        else specs, long_form, sparql, sparql_impls)
     # enrichment/explanation stages consume violation rows, not the spec —
     # any compiled engine drives them; reuse the first class's spec
     first_spec = specs[sorted(specs)[0]]
@@ -2854,23 +2798,29 @@ def validate_ttl(data_path: str, shapes_path: str,
                  long_form: bool = False, sparql: bool = False,
                  sparql_impls: Optional[Dict[str, object]] = None):
     """End-to-end: parse both files, build one entity table + spec per
-    target class, run the engine, union the violations.
+    target class, validate every table in one scan.
 
-    Returns a ray Dataset of violation rows (focus_node = full subject
-    IRI, property_path = full predicate IRI, pyshacl-style messages).
+    Returns a materialized ray Dataset of violation rows (focus_node =
+    full subject IRI, property_path = full predicate IRI, pyshacl-style
+    messages).  Every table below is one part of ONE
+    :func:`~xpshacl_ray.pipelines.validate.validate_parts` call, so the
+    whole validate is one scan and at most one exchange; only the
+    anti-join plans (sibling anti-join, node isolation, cycle
+    membership), which read the full graph, run exchanges of their own.
 
-    ``long_form=True`` additionally runs :func:`validate_ttl_long` — the
-    multi-value constraints (sh:maxCount, sh:minCount > 1, sh:nodeKind,
-    sh:class, sh:languageIn) over the triples table — and unions its
-    violations in.  ``sparql=True`` auto-translates ``sh:sparql``
-    blocks: the FILTER-only form becomes a row-local
-    :class:`~xpshacl_ray.spec.SqlCheck` (:func:`sparql_sqlchecks`) and
-    the two-triple-pattern self-join / self-reference forms become
-    grouped constraints over the target-scoped triples table
-    (:func:`sparql_grouped_constraints`, VERDICT r3 item 6); blocks
-    outside both subsets stay surfaced as data — never silently
-    mistranslated.  Both off by default: the entity-pivot subset is
-    the reference-README parity surface pinned by the goldens.
+    ``long_form=True`` additionally checks :func:`validate_ttl_long`'s
+    parts — the multi-value constraints (sh:maxCount, sh:minCount > 1,
+    sh:nodeKind, sh:class, sh:languageIn, sh:uniqueLang), sh:closed and
+    node-level constraints over the triples table.  ``sparql=True``
+    auto-translates ``sh:sparql`` blocks: the FILTER-only form becomes a
+    row-local :class:`~xpshacl_ray.spec.SqlCheck`
+    (:func:`sparql_sqlchecks`) and the two-triple-pattern self-join /
+    self-reference forms become grouped constraints over the
+    target-scoped triples table (:func:`sparql_grouped_constraints`,
+    VERDICT r3 item 6); blocks outside both subsets stay surfaced as
+    data — never silently mistranslated.  Both off by default: the
+    entity-pivot subset is the reference-README parity surface pinned by
+    the goldens.
 
     ``sparql_impls`` is the worked escape hatch for the UNtranslatable
     (transitive-closure / beyond-subset) ``sh:sparql`` blocks — after
@@ -2884,46 +2834,40 @@ def validate_ttl(data_path: str, shapes_path: str,
     implements the pattern over the TRIPLES table — each focus node's
     triples are one group (``group_by=["subject"]``), exactly the
     per-$this binding set the SPARQL WHERE clause joins over.  Matched
-    blocks run and union their violations in; unmatched blocks stay
+    blocks are checked with the other parts; unmatched blocks stay
     surfaced as data (never silently dropped)."""
+    data_triples, _ = load_turtle(data_path)
+    shape_triples, _ = load_turtle(shapes_path)
+    return _ttl_violations(data_triples, shape_triples,
+                           shapes_to_specs(shape_triples, long_form=long_form),
+                           long_form, sparql, sparql_impls)
+
+
+def _ttl_violations(data_triples: List[Triple], shape_triples: List[Triple],
+                    specs: Dict[str, object], long_form: bool, sparql: bool,
+                    sparql_impls: Optional[Dict[str, object]]):
+    """:func:`validate_ttl` over parsed triples and the entity specs
+    :func:`shapes_to_specs` compiled from them."""
     import ray.data
 
-    from ..pipelines.validate import ValidationEngine
     from ..spec import (
         NodeIsolation,
         RegexMatch,
         SiblingAntiJoin,
         TransitiveCycle,
-        ValidationSpec,
     )
 
-    data_triples, _ = load_turtle(data_path)
-    shape_triples, _ = load_turtle(shapes_path)
-    specs = shapes_to_specs(shape_triples, long_form=long_form)
-    if sparql:
-        checks, _skipped = sparql_sqlchecks(shape_triples)
-        for target, cs in checks.items():
-            if target in specs:
-                specs[target] = ValidationSpec(
-                    constraints=list(specs[target].constraints) + cs,
-                    id_columns=specs[target].id_columns,
-                    focus_template=specs[target].focus_template,
-                )
-            else:
-                specs[target] = ValidationSpec(
-                    constraints=cs, id_columns=["subject"],
-                    focus_template="{subject}",
-                )
-    parts = []
-    if long_form:
-        lf = validate_ttl_long(data_triples, shape_triples)
-        if lf is not None:
-            parts.append(lf)
-    if sparql_impls or sparql:
-        _checks, skipped = sparql_sqlchecks(shape_triples)
+    specs = dict(specs)
+    parts = _long_form_parts(data_triples, shape_triples) if long_form else []
+    joins = []  # the anti-join plans' violations, exchanged on their own
+    if sparql or sparql_impls:
+        checks, skipped = sparql_sqlchecks(shape_triples)
         auto: Dict[tuple, object] = {}
         if sparql:
-            for e, c in sparql_grouped_constraints(shape_triples)[0]:
+            for target, cs in checks.items():
+                base = specs[target].constraints if target in specs else []
+                specs[target] = _subject_spec(list(base) + cs)
+            for e, c in _translate_skipped(skipped)[0]:
                 auto[(e["target"], e["shape"], e["select"])] = c
         full_tt = None
         scoped: Dict[str, object] = {}
@@ -2951,10 +2895,7 @@ def validate_ttl(data_path: str, shapes_path: str,
                 else:
                     subs = {t.s for t in data_triples}
                 if guards:
-                    types_map: Dict[str, set] = {}
-                    for t in data_triples:
-                        if t.p == RDF_TYPE:
-                            types_map.setdefault(t.s, set()).add(t.o)
+                    types_map = _types_by_subject(data_triples)
                     for g in guards:
                         if g:
                             subs = {s for s in subs
@@ -2964,55 +2905,48 @@ def validate_ttl(data_path: str, shapes_path: str,
                 mask = pc.is_in(full_tt["subject"],
                                 value_set=pa.array(sorted(subs),
                                                    pa.string()))
-                scoped[skey] = (ray.data.from_arrow(
-                    full_tt.filter(mask)), sorted(subs))
-            scoped_ds, scoped_subs = scoped[skey]
-            ispec = ValidationSpec(constraints=[impl],
-                                   id_columns=["subject"],
-                                   focus_template="{subject}")
+                scoped[skey] = (full_tt.filter(mask), sorted(subs))
+            scoped_tt, scoped_subs = scoped[skey]
+            ispec = _subject_spec([impl])
             if isinstance(impl, RegexMatch):
                 # row-local subject regex under dynamic guards: one row
                 # per FOCUS NODE (the triples table would emit one
                 # violation per triple of the subject)
-                focus_tbl = pa.table({"subject": pa.array(
-                    scoped_subs, pa.string())})
-                parts.append(ValidationEngine(ispec).validate(
-                    ray.data.from_arrow(focus_tbl)))
+                parts.append((pa.table({"subject": pa.array(
+                    scoped_subs, pa.string())}), ispec, None))
                 continue
-            if isinstance(impl, (NodeIsolation, SiblingAntiJoin)):
-                # anti-join over the FULL graph (NOT EXISTS consults
-                # every triple, not just target-scoped ones)
+            if isinstance(impl, (NodeIsolation, SiblingAntiJoin,
+                                 TransitiveCycle)):
                 from ..spec import compile_constraint, compile_spec
                 from ..stages.grouped import (
+                    evaluate_membership,
                     evaluate_node_isolation,
                     evaluate_sibling_join,
                 )
 
-                evaluate = (evaluate_node_isolation
-                            if isinstance(impl, NodeIsolation)
-                            else evaluate_sibling_join)
-                parts.append(evaluate(scoped_ds, full_tt,
-                                      compile_constraint(impl),
-                                      compile_spec(ispec)))
-                continue
-            if isinstance(impl, TransitiveCycle):
-                # iterative plan: cycle membership of the FULL graph's
-                # <path> relation, scoped back to the target subjects
-                from ..functions.graph import cycle_members
-                from ..spec import compile_constraint, compile_spec
-                from ..stages.grouped import evaluate_membership
+                args = (compile_constraint(impl), compile_spec(ispec))
+                scoped_ds = ray.data.from_arrow(scoped_tt)
+                if isinstance(impl, TransitiveCycle):
+                    # iterative plan: cycle membership of the FULL
+                    # graph's <path> relation, scoped back to the target
+                    # subjects
+                    from ..functions.graph import cycle_members
 
-                emask = pc.equal(full_tt["predicate"], impl.path)
-                ed = full_tt.filter(pc.fill_null(emask, False))
-                edges_ds = ray.data.from_arrow(pa.table(
-                    {"src": ed["subject"], "dst": ed["object"]}))
-                members = cycle_members(edges_ds)
-                cspec = compile_spec(ispec)
-                parts.append(evaluate_membership(
-                    scoped_ds, members, compile_constraint(impl),
-                    cspec))
+                    emask = pc.equal(full_tt["predicate"], impl.path)
+                    ed = full_tt.filter(pc.fill_null(emask, False))
+                    members = cycle_members(ray.data.from_arrow(pa.table(
+                        {"src": ed["subject"], "dst": ed["object"]})))
+                    joins.append(evaluate_membership(scoped_ds, members,
+                                                     *args))
+                else:
+                    # anti-join over the FULL graph (NOT EXISTS consults
+                    # every triple, not just target-scoped ones)
+                    evaluate = (evaluate_node_isolation
+                                if isinstance(impl, NodeIsolation)
+                                else evaluate_sibling_join)
+                    joins.append(evaluate(scoped_ds, full_tt, *args))
                 continue
-            parts.append(ValidationEngine(ispec).validate(scoped_ds))
+            parts.append((scoped_tt, ispec, None))
     for target_class, spec in sorted(specs.items()):
         if target_class.startswith("target:"):
             table = entity_table(
@@ -3034,11 +2968,11 @@ def validate_ttl(data_path: str, shapes_path: str,
         for col in sorted(needed - have):
             table = table.append_column(
                 col, pa.nulls(table.num_rows, pa.string()))
-        eng = ValidationEngine(spec)
-        parts.append(eng.validate(ray.data.from_arrow(table)))
-    if not parts:
+        parts.append((table, spec, None))
+    results = ([_validate_tables(parts)] if parts else []) + joins
+    if not results:
         raise ValueError("no applicable shapes/targets found")
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
+    # every result is eager: their blocks join without another execution
+    return ray.data.from_arrow_refs(
+        [ref for ds in results for ref in ds.materialize().to_arrow_refs()]
+    ).materialize()

@@ -27,11 +27,13 @@ exchange's whole cost.  :func:`_exchange` names the alternatives that
 were measured and rejected.
 
 All checks of one ``validate`` share ONE exchange (:func:`evaluate_scan`):
-one ``map_batches`` over the input emits the row-local violations, every
+one ``map_batches`` per input part emits the row-local violations, every
 MaxCount/MinCount check's partials and every GroupedSparql check's
-pruned rows as one table tagged by ``__tag__``.  The violation rows ride
-the exchange unchanged (routed by their focus hash) and pass straight
-through the sweep; the tag is folded into the sweep's group keys, so K
+pruned rows as one table tagged by ``__tag__``; a Turtle validate's
+parts (one table per target class or property shape) are scanned and
+exchanged together, their tags numbered across parts.  The violation
+rows ride the exchange unchanged (routed by their focus hash) and pass
+straight through the sweep; the tag is folded into the sweep's group keys, so K
 cardinality checks cost one Arrow ``group_by`` per block, and each
 GroupedSparql check reduces its own tag's rows in the same call.  Only
 the anti-join forms, which read a second (full-graph) input, keep their
@@ -53,7 +55,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import replace
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -311,7 +313,8 @@ def evaluate_grouped(
     """
     if not spec.grouped:
         return []
-    return [evaluate_scan(ds, replace(spec, row_local=[], referential=[]))]
+    return [evaluate_scan([(ds, replace(spec, row_local=[],
+                                         referential=[]))])]
 
 
 _TAG = "__tag__"
@@ -322,46 +325,77 @@ def _is_cardinality(cc: CompiledConstraint) -> bool:
     return isinstance(cc.constraint, (MaxCount, MinCount))
 
 
-def evaluate_scan(ds: "ray.data.Dataset",
-                  spec: CompiledSpec) -> "ray.data.Dataset":
-    """``spec.row_local`` and every check in ``spec.grouped`` from ONE
-    ``map_batches`` over ``ds``.
+def evaluate_scan(
+        parts: Sequence[Tuple["ray.data.Dataset", CompiledSpec]],
+) -> "ray.data.Dataset":
+    """Each ``(ds, spec)`` part's ``spec.row_local`` and every check in
+    its ``spec.grouped`` from ONE ``map_batches`` over ``ds``.  The parts
+    share ``id_columns``; their inputs need not share a schema.
 
-    Without grouped checks that call's output is the violations.  With
-    them, it is one tagged table (:func:`_scan_batch`) routed by one
-    :func:`_exchange`, whose sweep (:func:`_grouped_sweep`) passes the
-    violation rows through, reduces every cardinality check's partials
-    in one Arrow ``group_by`` and every GroupedSparql check's rows by
-    :func:`_sparql_groups`, per block.  Id-column types are read off
-    each batch and block, so no schema is fetched."""
-    scan = ds.map_batches(_scan_batch, fn_kwargs=dict(spec=spec),
-                          batch_format="pyarrow")
-    if not spec.grouped:
+    Without grouped checks the union of the scans is the violations.
+    With them, each scan emits one tagged table (:func:`_scan_batch`),
+    its checks numbered after the previous parts', and the union is
+    routed by one :func:`_exchange`, whose sweep (:func:`_grouped_sweep`)
+    passes the violation rows through, reduces every cardinality check's
+    partials in one Arrow ``group_by`` and every GroupedSparql check's
+    rows by :func:`_sparql_groups`, per block.  Id-column types are read
+    off each batch and block, so one part fetches no schema."""
+    grouped = [cc for _, spec in parts for cc in spec.grouped]
+    pad = _scan_schema(parts) if grouped and len(parts) > 1 else None
+    scans, first_tag = [], 0
+    for ds, spec in parts:
+        scans.append(ds.map_batches(
+            _scan_batch, batch_format="pyarrow", fn_kwargs=dict(
+                spec=spec, first_tag=first_tag if grouped else None,
+                pad=pad)))
+        first_tag += len(spec.grouped)
+    scan = scans[0].union(*scans[1:]) if len(scans) > 1 else scans[0]
+    if not grouped:
         return scan
+    spec = replace(parts[0][1], row_local=[], referential=[],
+                   grouped=grouped)
     return _exchange(scan, functools.partial(_grouped_sweep, spec=spec))
 
 
-def _scan_batch(batch: pa.Table, spec: CompiledSpec) -> pa.Table:
-    """One input batch → its row-local violations (:func:`evaluate_row_local`)
-    and each grouped check's rows: a MaxCount/MinCount check's partials
-    (:func:`partial_group_counts`), a GroupedSparql check's pruned input
-    rows (:func:`_sparql_rows`).
+def _scan_schema(parts: Sequence[Tuple["ray.data.Dataset", CompiledSpec]]
+                 ) -> pa.Schema:
+    """One schema for the :func:`_scan_batch` output of all ``parts``:
+    their outputs on empty batches of their inputs, unified.  Padded to
+    it, a reduce block that holds only other parts' rows still has every
+    check's columns, typed.  Reads each input's schema, which an
+    in-memory input knows without executing."""
+    schemas = [(ds.schema(), spec) for ds, spec in parts]
+    return pa.unify_schemas(
+        [_scan_batch(pa.schema(list(zip(sch.names, sch.types))).empty_table(),
+                     spec, 0).schema for sch, spec in schemas],
+        promote_options="default")
 
-    The output then has one schema for every batch: the violation
-    columns, ``__tag__`` (-1 for a violation row, i for check i's rows),
-    ``__h__``, one ``__key__<name>`` column per input column a check
-    carries, and ``partial_n`` when a cardinality check is present.  The
+
+def _scan_batch(batch: pa.Table, spec: CompiledSpec,
+                first_tag: Optional[int],
+                pad: Optional[pa.Schema] = None) -> pa.Table:
+    """One input batch → its row-local violations (:func:`evaluate_row_local`),
+    untagged when ``first_tag`` is None (no part of the scan has a
+    grouped check), and each grouped check's rows: a MaxCount/MinCount
+    check's partials (:func:`partial_group_counts`), a GroupedSparql
+    check's pruned input rows (:func:`_sparql_rows`).
+
+    The tagged output has one schema for every batch: the violation
+    columns, ``__tag__`` (-1 for a violation row, ``first_tag + i`` for
+    check i's rows), ``__h__``, one ``__key__<name>`` column per input
+    column a check carries, and ``partial_n`` when a cardinality check
+    is present, padded to ``pad`` (:func:`_scan_schema`) if given.  The
     prefix keeps an input column named like a violation field (say
     ``value``) apart from it.  A column a row does not use is null.
     Violation rows are routed by the hash of their focus node, a check's
     rows by its key."""
     viol = evaluate_row_local(batch, spec)
-    if not spec.grouped:
+    if first_tag is None:
         return viol
     focus_h = key_hash64(viol["focus_node"]).view(np.int64)
     parts = [viol.append_column(_TAG, pa.array(np.full(viol.num_rows, -1)))
              .append_column("__h__", pa.array(focus_h))]
-    for i, cc in enumerate(spec.grouped):
+    for i, cc in enumerate(spec.grouped, first_tag):
         c = cc.constraint
         group_by = list(c.group_by)
         if _is_cardinality(cc):
@@ -376,7 +410,8 @@ def _scan_batch(batch: pa.Table, spec: CompiledSpec) -> pa.Table:
                      .append_column(_TAG, pa.array(np.full(p.num_rows, i))))
     # the parts' schemas unify in one order, and Arrow fills the
     # columns a part lacks with nulls
-    return pa.concat_tables(parts, promote_options="default")
+    return pa.concat_tables(([] if pad is None else [pad.empty_table()])
+                            + parts, promote_options="default")
 
 
 def _sparql_rows(batch: pa.Table, c) -> pa.Table:
