@@ -508,7 +508,8 @@ def q_range_customer(sf_dir: str):
 
 def q_referential_orders(sf_dir: str):
     """sh:class / FK check (C4): orders referencing customers that are not
-    in good standing (acctbal >= 0) — broadcast anti-join."""
+    in good standing (acctbal >= 0) — an anti-join in the validate
+    scan's exchange against the distinct good keys."""
     cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
                                  columns=["c_custkey", "c_acctbal"])
     good = cust.filter(expr="c_acctbal >= 0")
@@ -541,17 +542,13 @@ def q_node_conformance_scale(sf_dir: str):
     graphs; here the referenced shape's facets are evaluated vectorized
     over the dimension table in one streamed pass): lineitems whose
     part does not CONFORM to PartShape (p_size <= 45 AND p_type in the
-    non-promo set).  ``conforming_keys`` ships only the distinct
-    conforming key set (per-batch pre-agg before the small unique
-    exchange); the broadcast ``_RefMask`` anti-join probes the fact
-    table with zero shuffle on the fact side.  Reference parity: the
-    reference gets sh:node free from pyshacl
-    (src/xpshacl_engine.py)."""
+    non-promo set).  ``conforming_keys`` computes the distinct
+    conforming key set (per-batch pre-agg); a ``Referential`` check
+    against it flags the fact rows, the keys crossing the validate
+    scan's one exchange as its build side.  Reference parity: the
+    reference gets sh:node free from pyshacl (src/xpshacl_engine.py)."""
     from xpshacl_ray.spec import InSet, MaxInclusive
-    from xpshacl_ray.stages.referential import (
-        _RefMask,
-        conforming_keys,
-    )
+    from xpshacl_ray.stages.referential import conforming_keys
 
     part = ray.data.read_parquet(
         f"{sf_dir}/part.parquet",
@@ -562,18 +559,16 @@ def q_node_conformance_scale(sf_dir: str):
               allowed=["ECONOMY", "SMALL", "MEDIUM", "LARGE",
                        "STANDARD"]),
     ])
-    probe = _RefMask(column="l_partkey", keys_ref=ray.put(keys))
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_linenumber", "l_partkey"])
-
-    def flag(b: pa.Table) -> pa.Table:
-        m = probe.mask(b)
-        if isinstance(m, pa.ChunkedArray):
-            m = m.combine_chunks()
-        return b.filter(m)
-
-    return li.map_batches(flag, batch_format="pyarrow")
+    ids = ["l_orderkey", "l_linenumber", "l_partkey"]
+    spec = ValidationSpec(
+        constraints=[Referential(column="l_partkey", ref_table="part",
+                                 ref_column="p_partkey")],
+        id_columns=ids, focus_template="lineitem:{l_orderkey}/{l_linenumber}")
+    viol = ValidationEngine(spec).validate(li, ref_keys={"l_partkey": keys})
+    return viol.select_columns(ids)
 
 
 def q_stats_profile_documents(sf_dir: str):

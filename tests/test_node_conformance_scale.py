@@ -1,14 +1,15 @@
 """sh:node at Parquet scale: conforming_keys (dimension-side shape
-evaluation, SHACL null policy) + the broadcast _RefMask anti-join
-probe — the table-scale twin of sources/ttl._NodeChecker."""
+evaluation, SHACL null policy) + a Referential check against the
+conforming keys — the table-scale twin of sources/ttl._NodeChecker."""
 
 import pyarrow as pa
 
-import ray
 import ray.data
 
-from xpshacl_ray.spec import InSet, MaxInclusive, MinLength
-from xpshacl_ray.stages.referential import _RefMask, conforming_keys
+from xpshacl_ray.pipelines.validate import ValidationEngine
+from xpshacl_ray.spec import (InSet, MaxInclusive, MinLength, Referential,
+                              ValidationSpec)
+from xpshacl_ray.stages.referential import conforming_keys
 
 
 def _dim():
@@ -17,6 +18,20 @@ def _dim():
         "size": [10, 50, 20, None, 30, 7],
         "kind": ["A", "A", "B", "A", None, "A"],
     }))
+
+
+def _flagged(fk: list, keys: pa.Array) -> list:
+    """Per fact row, whether a Referential check on ``fk`` against
+    ``keys`` flags it."""
+    spec = ValidationSpec(
+        constraints=[Referential(column="fk", ref_table="dim",
+                                 ref_column="key")],
+        id_columns=["row"], focus_template="row:{row}")
+    fact = ray.data.from_arrow(pa.table({"row": list(range(len(fk))),
+                                         "fk": fk}))
+    viol = ValidationEngine(spec).validate(fact, ref_keys={"fk": keys})
+    bad = {r["row"] for r in viol.take_all()}
+    return [i in bad for i in range(len(fk))]
 
 
 def test_conforming_keys_multi_facet(ray_session):
@@ -39,12 +54,10 @@ def test_probe_flags_nonconforming_and_excuses_null_fk(ray_session):
     keys = conforming_keys(_dim(), "key", [
         MaxInclusive(column="size", bound=45)])
     assert keys.to_pylist() == [1, 3, 4, 5]
-    probe = _RefMask(column="fk", keys_ref=ray.put(keys))
-    fact = pa.table({"fk": [1, 2, 6, None, 3]})
-    m = probe.mask(fact)
     # 2 violates (size 50 > 45); 6 violates (no such dimension key —
     # its size-7 row carries a NULL key and is dropped); NULL fk excused
-    assert m.to_pylist() == [False, True, True, False, False]
+    assert _flagged([1, 2, 6, None, 3], keys) == [False, True, True, False,
+                                                   False]
 
 
 def test_missing_referent_is_nonconforming(ray_session):
@@ -52,6 +65,4 @@ def test_missing_referent_is_nonconforming(ray_session):
     # cannot conform (the referenced shape's facets were never checked)
     keys = conforming_keys(_dim(), "key", [MinLength(column="kind",
                                                      min_length=1)])
-    probe = _RefMask(column="fk", keys_ref=ray.put(keys))
-    m = probe.mask(pa.table({"fk": [99]}))
-    assert m.to_pylist() == [True]
+    assert _flagged([99], keys) == [True]

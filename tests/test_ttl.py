@@ -193,6 +193,33 @@ ex:p4 a ex:Person ; ex:hasName "D" ; ex:hasAge 40 .
     assert "explanation_en" in report.column_names
 
 
+def test_run_ttl_with_only_long_form_constraints(tmp_path):
+    """A shapes graph whose every constraint is long-form (no entity
+    spec) still validates and explains under ``long_form=True``."""
+    from xpshacl_ray.sources.ttl import run_ttl
+
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text("""
+@prefix sh: <http://www.w3.org/ns/shacl#> .
+@prefix ex: <http://example.org/> .
+
+ex:S a sh:NodeShape ; sh:targetClass ex:C ;
+  sh:property [ sh:path ex:p ; sh:maxCount 1 ] .
+""")
+    data = tmp_path / "data.ttl"
+    data.write_text("""
+@prefix ex: <http://example.org/> .
+
+ex:a a ex:C ; ex:p 1, 2 .
+""")
+    res = run_ttl(str(data), str(shapes), languages=["en"],
+                  kg_path=str(tmp_path / "kg.parquet"), long_form=True)
+    report = res["report"].to_pandas()
+    assert list(report["constraint_id"]) == [
+        SH + "MaxCountConstraintComponent"]
+    assert report["explanation_en"].notna().all()
+
+
 def test_run_ttl_parses_the_data_file_once(tmp_path, monkeypatch):
     from xpshacl_ray.sources import ttl
 

@@ -109,8 +109,6 @@ def _init_ray(num_cpus):
 
 def cmd_validate(args) -> int:
     _init_ray(args.num_cpus)
-    import ray
-
     from .pipelines.code_files import build_engine, code_files_stats_config
     from .sources.ingest import read_code_table, read_parquet
     from .stages.referential import distinct_keys
@@ -139,8 +137,8 @@ def cmd_validate(args) -> int:
         def process(shard_files):
             if not keys:
                 keys.update(
-                    (cc.constraint.column, ray.put(distinct_keys(
-                        ref[cc.constraint.column], cc.constraint.ref_column)))
+                    (cc.constraint.column, distinct_keys(
+                        ref[cc.constraint.column], cc.constraint.ref_column))
                     for cc in engine.compiled.referential)
             ds = read_code_table(shard_files)
             return engine.validate(ds, ref_keys=keys)

@@ -3,18 +3,19 @@
 Engine equivalent of the reference's ``main.py`` lifecycle::
 
     driver: compile constraint spec                       # ST1
-    keys  = merge(pc.unique per ref block)                # C4 key set
     scan  = ds.map_batches(scan)       # ONE scan: C1..C20 fused (E1),
-                                       # C4 broadcast anti-join on keys,
-                                       # C1/C2/C11 partials and C19
-                                       # GroupedSparql rows, tagged
+                                       # C1/C2/C11 partials, C19
+                                       # GroupedSparql rows and C4 probe
+                                       # rows, tagged
+            ∪ ref.map_batches(unique)  # C4 build side: distinct keys
             .materialize()                                # one execution
     parts = [route.remote(block, k __h__ ranges)          # plain tasks:
              for block in scan.to_arrow_refs()]           # the exchange
     viol  = from_arrow_refs([reduce.remote(sweep, parts[:, j])
                              for j in range(k)])          # violations pass,
                                        # partials reduce, GroupedSparql
-                                       # runs are judged
+                                       # runs are judged, C4 probe rows
+                                       # absent from the keys violate
     sigs  = first_per_signature(∪ first_per_signature.remote(block)
                                   for block in viol.to_arrow_refs())
                                                           # G2 exact dedup
@@ -31,23 +32,21 @@ per materialized violation block; it returns at most one row per signature
 and block, and the merge, enrichment and explanation of those few rows
 run in the driver process, with the KG cache loaded once there.
 
-:func:`validate_parts` is eager and scans each of its input parts
-once: row-local and referential violations, the MaxCount/MinCount
-partials and the GroupedSparql rows leave one ``map_batches`` call per
-part, and all parts cross one exchange.  It checks each spec's columns
-without a schema probe (free when the input knows its schema, else only
-after a failed execution).  ``validate`` is its one-part case, and a
-Turtle validate (:func:`~xpshacl_ray.sources.ttl.validate_ttl`) passes
-one part per table.  One ``run`` thus starts two Ray Data executions:
-the referenced key set and the violations.  The report join and write
-run as one plain task per materialized violation block
-(:func:`~xpshacl_ray.state.manifest.write_blocks`), and so does each
-partition write of ``validate_delta``.
+:func:`validate_parts` is eager and scans each of its input parts, and
+each referenced side, once, in one ``map_batches`` call each; all of
+them cross one exchange.  It checks each spec's columns without a
+schema probe (free when the input knows its schema, else only after a
+failed execution).  ``validate`` is its one-part case, and a Turtle
+validate (:func:`~xpshacl_ray.sources.ttl.validate_ttl`) passes one
+part per table.  One ``run`` thus starts one Ray Data execution.  The
+report join and write run as one plain task per materialized violation
+block (:func:`~xpshacl_ray.state.manifest.write_blocks`), and so does
+each partition write of ``validate_delta``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import pyarrow as pa
@@ -63,7 +62,6 @@ from ..justify import tree_json_for_row
 from ..sources.ingest import read_parquet
 from ..spec import CompiledSpec, ValidationSpec, compile_spec
 from ..stages.grouped import evaluate_scan
-from ..stages.referential import _RefMask, distinct_keys
 from ..state.manifest import empty_table, run_resumable, write_blocks
 
 
@@ -158,36 +156,13 @@ def _check_columns(spec: CompiledSpec, names: Sequence[str],
         ) from cause
 
 
-def _fuse_referential(spec: CompiledSpec, refs: Dict[str, object]
-                      ) -> CompiledSpec:
-    """``spec`` with each referential check turned row-local: a
-    :class:`~xpshacl_ray.stages.referential._RefMask` over its column's
-    key set in ``refs`` (an array, an object ref of one, or a Dataset
-    whose distinct ``ref_column`` values it is)."""
-    fused = list(spec.row_local)
-    for cc in spec.referential:
-        col = cc.constraint.column
-        keys = refs[col]
-        if isinstance(keys, ray.data.Dataset):
-            keys = distinct_keys(keys, cc.constraint.ref_column)
-        fused.append(replace(cc, constraint=_RefMask(
-            column=col,
-            keys_ref=keys if isinstance(keys, ray.ObjectRef) else ray.put(keys),
-            null_is_violation=getattr(cc.constraint, "null_is_violation",
-                                      False))))
-    if not (fused or spec.grouped):
-        raise ValueError("spec has no constraints")
-    return replace(spec, row_local=fused, referential=[])
-
-
 def validate_parts(parts: Sequence[Tuple["ray.data.Dataset", CompiledSpec,
                                          Optional[Dict[str, object]]]]
                    ) -> "ray.data.Dataset":
     """The violations of every ``(ds, spec, refs)`` part from ONE
-    :func:`~xpshacl_ray.stages.grouped.evaluate_scan`: each input is
-    scanned once, with its referential checks fused in
-    (:func:`_fuse_referential`), and all parts cross one exchange.  The
-    parts must share ``id_columns``.
+    :func:`~xpshacl_ray.stages.grouped.evaluate_scan`: each input, and
+    each referenced side in ``refs``, is scanned once and all cross one
+    exchange.  The parts must share ``id_columns``.
 
     Eager: the violations are materialized before returning, and a spec
     column absent from its part's input raises ``ValueError`` here.  The
@@ -197,16 +172,17 @@ def validate_parts(parts: Sequence[Tuple["ray.data.Dataset", CompiledSpec,
     """
     if len({tuple(spec.id_columns) for _, spec, _ in parts}) > 1:
         raise ValueError("the parts of one validate must share id_columns")
-    unchecked, planned = [], []
-    for ds, spec, refs in parts:
+    unchecked = []
+    for ds, spec, _ in parts:
+        if not spec.all_compiled():
+            raise ValueError("spec has no constraints")
         sch = ds.schema(fetch_if_missing=False)
         if sch is None:
             unchecked.append((ds, spec))
         else:
             _check_columns(spec, sch.names)
-        planned.append((ds, _fuse_referential(spec, refs or {})))
     try:
-        return evaluate_scan(planned).materialize()
+        return evaluate_scan(parts).materialize()
     except Exception as err:
         for ds, spec in unchecked:
             try:
@@ -279,8 +255,8 @@ class ValidationEngine:
         ref_keys: Optional[Dict[str, pa.Array]] = None,
     ) -> "ray.data.Dataset":
         """Full violations Dataset, materialized: :func:`validate_parts`
-        with ``ds`` as its one part.  A referential check's key set is
-        its column's entry of ``ref_keys``, else the distinct
+        with ``ds`` as its one part.  A referential check's referenced
+        keys are its column's entry of ``ref_keys`` (an array), else the
         ``ref_column`` values of its ``ref_datasets`` entry."""
         return validate_parts([(ds, self.compiled,
                                 {**(ref_datasets or {}), **(ref_keys or {})})])

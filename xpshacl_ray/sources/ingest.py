@@ -21,8 +21,8 @@ keeps Ray's own plan.  Ray sizes a read as ``max(min(200, bytes / 1 MiB),
 output afterwards (``ReadParquet->SplitBlocks(N)``), and the split also
 keeps the read from fusing with the map that follows it.  A 17.8 MB file
 came out as 17 blocks of ~70 rows, a 179-row shard as 2 × CPUs blocks:
-each block then costs one scan task and one exchange route task, and at
-those sizes the tasks' fixed costs were most of the scan's wall time.
+each block then costs one scan task, and at those sizes the tasks'
+fixed costs were most of the scan's wall time.
 k blocks is the same count the grouped exchange cuts its hash ranges
 into, so the scan and the exchange each run k tasks.  Blocks stay bounded
 by ``DataContext.target_max_block_size``: Ray's size-based split still

@@ -2775,18 +2775,15 @@ def run_ttl(
     from ..pipelines.validate import ValidationEngine
 
     shape_triples, _ = load_turtle(shapes_path)
-    specs = shapes_to_specs(shape_triples)
-    if not specs:
-        raise ValueError("no applicable shapes/targets found")
-    viol = _ttl_violations(
+    viol, specs = _ttl_violations(
         load_turtle(data_path)[0], shape_triples,
-        shapes_to_specs(shape_triples, long_form=True) if long_form
-        else specs, long_form, sparql, sparql_impls)
-    # enrichment/explanation stages consume violation rows, not the spec —
-    # any compiled engine drives them; reuse the first class's spec
-    first_spec = specs[sorted(specs)[0]]
-    eng = ValidationEngine(first_spec, kg_path=kg_path,
-                           languages=list(languages))
+        shapes_to_specs(shape_triples, long_form=long_form), long_form,
+        sparql, sparql_impls)
+    # the explanation tail reads violation rows; the engine's spec only
+    # documents constraints for context, so it holds every table's
+    eng = ValidationEngine(
+        _subject_spec([c for spec in specs for c in spec.constraints]),
+        kg_path=kg_path, languages=list(languages))
     _, expl_tbl, _ = eng.explained_signatures(viol)
     if out_dir is not None:
         eng.write_report(viol, expl_tbl, os.path.join(out_dir, "report"))
@@ -2840,14 +2837,15 @@ def validate_ttl(data_path: str, shapes_path: str,
     shape_triples, _ = load_turtle(shapes_path)
     return _ttl_violations(data_triples, shape_triples,
                            shapes_to_specs(shape_triples, long_form=long_form),
-                           long_form, sparql, sparql_impls)
+                           long_form, sparql, sparql_impls)[0]
 
 
 def _ttl_violations(data_triples: List[Triple], shape_triples: List[Triple],
                     specs: Dict[str, object], long_form: bool, sparql: bool,
                     sparql_impls: Optional[Dict[str, object]]):
     """:func:`validate_ttl` over parsed triples and the entity specs
-    :func:`shapes_to_specs` compiled from them."""
+    :func:`shapes_to_specs` compiled from them: the violations and the
+    spec of every table validated."""
     import ray.data
 
     from ..spec import (
@@ -2859,7 +2857,8 @@ def _ttl_violations(data_triples: List[Triple], shape_triples: List[Triple],
 
     specs = dict(specs)
     parts = _long_form_parts(data_triples, shape_triples) if long_form else []
-    joins = []  # the anti-join plans' violations, exchanged on their own
+    # the anti-join plans' violations, exchanged on their own, and specs
+    joins, join_specs = [], []
     if sparql or sparql_impls:
         checks, skipped = sparql_sqlchecks(shape_triples)
         auto: Dict[tuple, object] = {}
@@ -2925,6 +2924,7 @@ def _ttl_violations(data_triples: List[Triple], shape_triples: List[Triple],
                 )
 
                 args = (compile_constraint(impl), compile_spec(ispec))
+                join_specs.append(ispec)
                 scoped_ds = ray.data.from_arrow(scoped_tt)
                 if isinstance(impl, TransitiveCycle):
                     # iterative plan: cycle membership of the FULL
@@ -2975,4 +2975,4 @@ def _ttl_violations(data_triples: List[Triple], shape_triples: List[Triple],
     # every result is eager: their blocks join without another execution
     return ray.data.from_arrow_refs(
         [ref for ds in results for ref in ds.materialize().to_arrow_refs()]
-    ).materialize()
+    ).materialize(), [spec for _, spec, _ in parts] + join_specs

@@ -17,7 +17,7 @@ row-local (stateless)  Datatype (C3), NodeKind/Pattern (C5/C8),
                        required (row-form MinCount, C1)
 grouped (shuffle)      MinCount/MaxCount over group keys (C1/C2),
                        UniqueLang ≡ MaxCount(1) on keys+[lang] (C11)
-referential (b-cast)   Class/FK existence (C4)
+referential (join)     Class/FK existence (C4)
 =====================  ==========================================
 
 Violation masks are ``True == violating``.  Null handling follows SHACL
@@ -816,7 +816,8 @@ class UniqueLang(MaxCount):
 @dataclass
 class Referential(Constraint):
     """sh:class / FK existence (C4): every value of ``column`` must exist in
-    the referenced key set (broadcast small side; anti-join finds dangles).
+    the referenced key set (an anti-join in the validate scan's exchange
+    finds dangles; the referenced side need not fit on the driver).
 
     A NULL FK is *not* a violation by default — consistent with the rest of
     the engine's SHACL null semantics (``InSet`` etc. excuse nulls; a

@@ -15,14 +15,14 @@ extended_shacl_validator.py:40-51; we build them once on the driver).
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..model import VIOLATION_FIELDS
-from ..spec import CompiledSpec
+from ..spec import CompiledConstraint, CompiledSpec
 
 
 def render_focus(batch: pa.Table, template: str, offset: int = 0) -> pa.Array:
@@ -76,6 +76,48 @@ def _empty_violations(batch: pa.Table, spec: CompiledSpec) -> pa.Table:
     return violations_schema(spec.id_columns, id_types).empty_table()
 
 
+def static_fields(cc: CompiledConstraint, n: int) -> Dict[str, pa.Array]:
+    """The violation fields every row of ``cc`` shares (all but
+    ``focus_node`` and ``value``), ``n`` rows each."""
+    static = {"shape_id": cc.shape_id, "constraint_id": cc.constraint_id,
+              "violation_type": cc.violation_type,
+              "property_path": cc.property_path, "message": cc.message,
+              "severity": cc.severity, "context": cc.context_json,
+              "signature": cc.signature, "signature_key": cc.sig_key}
+    return {name: pa.nulls(n, pa.string()) if v is None
+            else pa.array(np.repeat(v, n)) for name, v in static.items()}
+
+
+def violation_rows(batch: pa.Table, spec: CompiledSpec,
+                   flags: Sequence[Tuple[CompiledConstraint, pa.Array]],
+                   focus: Optional[pa.Array] = None) -> pa.Table:
+    """One violation row (id columns + VIOLATION_FIELDS) per row of
+    ``batch`` that a ``(cc, mask)`` pair of ``flags`` flags.  ``focus``
+    is the batch's rendered focus nodes, rendered here if not given and
+    some row is flagged."""
+    out: List[pa.Table] = []
+    # canonical column order: id cols then VIOLATION_FIELDS order
+    order = list(spec.id_columns) + [f for f, _ in VIOLATION_FIELDS]
+    for cc, mask in flags:
+        if isinstance(mask, pa.ChunkedArray):
+            mask = mask.combine_chunks()
+        idx = np.flatnonzero(np.asarray(mask, dtype=bool))
+        if idx.size == 0:
+            continue
+        if focus is None:
+            focus = render_focus(batch, spec.focus_template)
+        idx = pa.array(idx)
+        cols = {c: batch[c].take(idx) for c in spec.id_columns}
+        cols["focus_node"] = focus.take(idx)
+        cols["value"] = _value_strings(
+            batch, cc.value_column or cc.property_path).take(idx)
+        cols.update(static_fields(cc, len(idx)))
+        out.append(pa.table(cols).select(order))
+    if not out:
+        return _empty_violations(batch, spec)
+    return pa.concat_tables(out)
+
+
 def evaluate_row_local(batch: pa.Table, spec: CompiledSpec) -> pa.Table:
     """Apply every compiled row-local constraint to one Arrow batch.
 
@@ -83,58 +125,7 @@ def evaluate_row_local(batch: pa.Table, spec: CompiledSpec) -> pa.Table:
     vectorized: one mask + one filter per constraint; static fields are
     repeated constants.
     """
-    out: List[pa.Table] = []
-    n = len(batch)
-    if n == 0 or not spec.row_local:
+    if len(batch) == 0 or not spec.row_local:
         return _empty_violations(batch, spec)
-    focus = render_focus(batch, spec.focus_template)
-    for cc in spec.row_local:
-        mask = cc.constraint.mask(batch)
-        if isinstance(mask, pa.ChunkedArray):
-            mask = mask.combine_chunks()
-        mask_np = np.asarray(mask, dtype=bool)
-        k = int(mask_np.sum())
-        if k == 0:
-            continue
-        idx = pa.array(np.flatnonzero(mask_np))
-        cols: List[pa.Array] = []
-        names: List[str] = []
-        for c in spec.id_columns:
-            col = batch[c]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            cols.append(col.take(idx))
-            names.append(c)
-        value = _value_strings(batch, cc.value_column or cc.property_path).take(idx)
-        static = {
-            "shape_id": cc.shape_id,
-            "constraint_id": cc.constraint_id,
-            "violation_type": cc.violation_type,
-            "property_path": cc.property_path,
-            "message": cc.message,
-            "severity": cc.severity,
-            "context": cc.context_json,
-            "signature": cc.signature,
-            "signature_key": cc.sig_key,
-        }
-        cols.append(focus.take(idx) if isinstance(focus, pa.Array)
-                    else focus.combine_chunks().take(idx))
-        names.append("focus_node")
-        for name, _ in VIOLATION_FIELDS:
-            if name in ("focus_node", "value"):
-                continue
-            v = static[name]
-            if v is None:
-                cols.append(pa.nulls(k, pa.string()))
-            else:
-                cols.append(pa.array(np.repeat(v, k)))
-            names.append(name)
-        cols.append(value)
-        names.append("value")
-        t = pa.table(dict(zip(names, cols)))
-        # canonical column order: id cols then VIOLATION_FIELDS order
-        order = list(spec.id_columns) + [f for f, _ in VIOLATION_FIELDS]
-        out.append(t.select(order))
-    if not out:
-        return _empty_violations(batch, spec)
-    return pa.concat_tables(out)
+    return violation_rows(batch, spec, [(cc, cc.constraint.mask(batch))
+                                        for cc in spec.row_local])

@@ -1,6 +1,6 @@
-"""Grouped checks — shuffle #1: cardinality / uniqueness (C1/C2/C11) and
-the multi-row SHACL-SPARQL forms (C19: GroupedSparql, SiblingAntiJoin,
-NodeIsolation, cycle membership).
+"""Grouped checks — shuffle #1: cardinality / uniqueness (C1/C2/C11),
+referential existence (C4) and the multi-row SHACL-SPARQL forms (C19:
+GroupedSparql, SiblingAntiJoin, NodeIsolation, cycle membership).
 
 Strategy (SURVEY.md §2.2, §4): never shuffle full rows.  Each grouped
 constraint projects to its key columns only and pre-aggregates counts
@@ -10,9 +10,10 @@ constraint projects to its key columns only and pre-aggregates counts
 wide `content` column never enters the exchange.
 
 Every plan here co-locates keys one way, :func:`_exchange`: each row
-carries ``__h__``, the int64 view of the composite key hash; one plain
-Ray task per materialized input block cuts its rows into k fixed, equal
-hash ranges (k = the cluster's CPU count), and one reduce task per range
+carries ``__h__``, the int64 view of the composite key hash; at most k
+plain Ray tasks, each over a run of the materialized input blocks, cut
+their rows into k fixed, equal hash ranges (k = the cluster's CPU
+count), and one reduce task per range
 concatenates that range's parts and reduces them in one Arrow call on
 the FULL key columns.  The hash only routes, so a collision co-locates
 two keys and nothing else: results stay exact.  A null key is a group of
@@ -28,16 +29,18 @@ were measured and rejected.
 
 All checks of one ``validate`` share ONE exchange (:func:`evaluate_scan`):
 one ``map_batches`` per input part emits the row-local violations, every
-MaxCount/MinCount check's partials and every GroupedSparql check's
-pruned rows as one table tagged by ``__tag__``; a Turtle validate's
-parts (one table per target class or property shape) are scanned and
-exchanged together, their tags numbered across parts.  The violation
+MaxCount/MinCount check's partials, every GroupedSparql check's pruned
+rows and every referential check's probe rows as one table tagged by
+``__tag__``; a Turtle validate's parts (one table per target class or
+property shape) are scanned and exchanged together, their tags numbered
+across parts, and each referenced side is one more input.  The violation
 rows ride the exchange unchanged (routed by their focus hash) and pass
-straight through the sweep; the tag is folded into the sweep's group keys, so K
-cardinality checks cost one Arrow ``group_by`` per block, and each
-GroupedSparql check reduces its own tag's rows in the same call.  Only
-the anti-join forms, which read a second (full-graph) input, keep their
-own exchanges.
+straight through the sweep; the tag is folded into the sweep's group
+keys, so K cardinality checks cost one Arrow ``group_by`` per block,
+each GroupedSparql check reduces its own tag's rows in the same call,
+and each referential check keeps its probe rows absent from its keys.
+Only the SPARQL anti-join forms, which read a second (full-graph)
+input, keep their own exchanges.
 
 Considered and rejected — combiner-side early-violation emit: a batch whose
 partial count already exceeds ``max_count`` proves the group violates, but
@@ -54,8 +57,9 @@ from __future__ import annotations
 
 import functools
 import json
+import logging
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -67,8 +71,10 @@ import ray.data
 from ..functions.sketches import key_hash64
 from ..model import VIOLATION_FIELDS
 from ..sources.ingest import cluster_cpus
-from ..spec import CompiledConstraint, CompiledSpec, MaxCount, MinCount
-from .evaluate import evaluate_row_local, violations_schema
+from ..spec import (CompiledConstraint, CompiledSpec, MaxCount, MinCount,
+                    Referential)
+from .evaluate import (_value_strings, render_focus, static_fields,
+                       violation_rows, violations_schema)
 
 
 def _with_route_hash(t: pa.Table, keys: List[str]) -> pa.Table:
@@ -96,53 +102,71 @@ def _exchange_boundaries(k: int) -> List[int]:
 
 
 @ray.remote
-def _exchange_route(block: pa.Table, cuts: List[int]):
-    """One map task of :func:`_exchange`: ``block``'s rows cut into
-    ``len(cuts) + 1`` parts by their ``__h__`` range, each part in block
-    order.  A block without ``__h__`` (Ray's column-less empty block)
-    yields empty parts."""
+def _exchange_route(cuts: List[int], *blocks: pa.Table):
+    """One map task of :func:`_exchange`: the rows of each of ``blocks``
+    cut into ``len(cuts) + 1`` parts by their ``__h__`` range; part j is
+    the list of the blocks' rows in range j, in block order.  A block
+    without ``__h__`` (Ray's column-less empty block) adds nothing."""
     k = len(cuts) + 1
-    if "__h__" not in block.column_names:
-        parts = [pa.table({})] * k
-    else:
+    parts = [[] for _ in range(k)]
+    for block in blocks:
+        if "__h__" not in block.column_names:
+            continue
         idx = np.searchsorted(np.asarray(cuts, np.int64),
                               block["__h__"].to_numpy(), side="right")
         order = np.argsort(idx, kind="stable")
         ends = np.cumsum(np.bincount(idx, minlength=k))
-        parts = [block.take(order[a:b])
-                 for a, b in zip(np.append(0, ends[:-1]), ends)]
+        for part, a, b in zip(parts, np.append(0, ends[:-1]), ends):
+            part.append(block.take(order[a:b]))
     return parts if k > 1 else parts[0]
 
 
 @ray.remote
 def _exchange_reduce(reduce: Callable[[pa.Table], pa.Table],
-                     *parts: pa.Table) -> pa.Table:
+                     *routed: List[pa.Table]) -> pa.Table:
     """One reduce task of :func:`_exchange`: ``reduce`` over this range's
     parts, concatenated in block order, as one chunk per column.  A range
     with no rows is not reduced and yields a column-less empty block."""
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
+    parts = [p for ps in routed for p in ps]
+    if not any(p.num_rows for p in parts):
         return pa.table({})
-    block = pa.concat_tables(parts, promote_options="default")
+    # empty parts bring their block's columns too; an int32 key column
+    # meeting an int64 one (a referential build side) is widened
+    block = pa.concat_tables(parts, promote_options="permissive")
     return reduce(block.drop_columns(["__h__"])).combine_chunks()
 
 
+_EXECUTOR_LOG = logging.getLogger(
+    "ray.data._internal.execution.streaming_executor_state")
+
+
+def _same_schema_warning(record: logging.LogRecord) -> bool:
+    """Drops Ray Data's warning that an operator's blocks differ in
+    schema: a referenced side's key rows join the scan rows on purpose."""
+    return not record.getMessage().startswith(
+        "Operator produced a RefBundle with a different schema")
+
+
 def _exchange(ds: "ray.data.Dataset",
-              reduce: Callable[[pa.Table], pa.Table]) -> "ray.data.Dataset":
+              reduce: Callable[[pa.Table], pa.Table],
+              tables: Sequence[pa.Table] = ()) -> "ray.data.Dataset":
     """Route rows carrying ``__h__`` so equal hashes share one block, then
     ``reduce`` each whole block (``__h__`` dropped) in one Arrow call.
+    ``tables`` are driver-held blocks routed after ``ds``'s.
 
     A pull shuffle of plain Ray tasks over ``ds``'s materialized blocks
-    (one Ray Data execution): one :func:`_exchange_route` task per block
-    cuts its rows at :func:`_exchange_boundaries` for k =
-    :func:`_exchange_partitions`, the cluster's CPU count, and k
-    :func:`_exchange_reduce` tasks each reduce one range.  The result
-    holds the k reduced blocks in range order.  The hash is a uniform
-    64-bit fold, so equal ranges balance the load without sampling, and
-    the layout depends on k alone.  k is fixed at plan time, not sized
-    from the partials: an estimate of their distinct keys or bytes would
-    cost an execution first.  A reducer relies on co-location only: its
-    rows are in block order, not in ``__h__`` order.
+    (one Ray Data execution): ≤ k :func:`_exchange_route` tasks, each over
+    a run of blocks (one task per block started a worker process per
+    task past the CPU count), cut the rows at :func:`_exchange_boundaries`
+    for k = :func:`_exchange_partitions`, the cluster's CPU count, and k
+    :func:`_exchange_reduce` tasks each reduce one range; each task
+    holds ~1/k of the rows.  The result holds the k reduced blocks in
+    range order.  The hash is a uniform 64-bit fold, so equal
+    ranges balance the load without sampling, and the layout depends on
+    k alone.  k is fixed at plan time, not sized from the partials: an
+    estimate of their distinct keys or bytes would cost an execution
+    first.  A reducer relies on co-location only: its rows are in block
+    order, not in ``__h__`` order.
 
     Plain tasks, not Ray Data's ``sort`` (the map/reduce that ``sort``
     runs internally, without its all-to-all operator): at these sizes
@@ -155,14 +179,21 @@ def _exchange(ds: "ray.data.Dataset",
     times the bytes across nodes).
 
     Rows need not all be partials: :func:`evaluate_scan` also routes the
-    row-local violation rows (hashed by focus node) and the GroupedSparql
-    rows through here, so one plan's checks and its violations share a
-    single exchange.  Eager: the input executes before this returns, and
-    a failing ``reduce`` raises here."""
+    row-local violation rows (hashed by focus node), the GroupedSparql
+    rows and the referential probe and key rows through here, so one
+    plan's checks and its violations share a single exchange.  Eager:
+    the input executes before this returns, and a failing ``reduce``
+    raises here."""
     k = _exchange_partitions()
     cuts = _exchange_boundaries(k)
-    routed = [_exchange_route.options(num_returns=k).remote(ref, cuts)
-              for ref in ds.materialize().to_arrow_refs()]
+    _EXECUTOR_LOG.addFilter(_same_schema_warning)
+    try:
+        blocks = ds.materialize().to_arrow_refs() + list(tables)
+    finally:
+        _EXECUTOR_LOG.removeFilter(_same_schema_warning)
+    run = max(1, -(-len(blocks) // k))
+    routed = [_exchange_route.options(num_returns=k).remote(
+        cuts, *blocks[i:i + run]) for i in range(0, len(blocks), run)]
     if k == 1:  # num_returns=1 gives one ref, not a list of one
         routed = [[r] for r in routed]
     fn = ray.put(reduce)
@@ -222,26 +253,12 @@ def _grouped_violation_rows(
         pa.array(np.repeat("}", n)), "",
     )
 
-    cols = {}
-    for c, t in zip(spec.id_columns, id_types):
-        if c in groups.column_names:
-            col = groups[c]
-            cols[c] = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        else:
-            cols[c] = pa.nulls(n, t)
-    static = {
-        "shape_id": cc.shape_id, "constraint_id": cc.constraint_id,
-        "violation_type": cc.violation_type,
-        "property_path": cc.property_path, "message": cc.message,
-        "severity": cc.severity, "signature": cc.signature,
-        "signature_key": cc.sig_key,
-    }
+    cols = {c: groups[c] if c in groups.column_names else pa.nulls(n, t)
+            for c, t in zip(spec.id_columns, id_types)}
+    cols.update(static_fields(cc, n))
     cols["focus_node"] = focus
     cols["value"] = count_str
     cols["context"] = ctx
-    for name, v in static.items():
-        cols[name] = (pa.nulls(n, pa.string()) if v is None
-                      else pa.array(np.repeat(v, n)))
     return pa.table({name: cols[name] for name in schema.names})
 
 
@@ -313,8 +330,8 @@ def evaluate_grouped(
     """
     if not spec.grouped:
         return []
-    return [evaluate_scan([(ds, replace(spec, row_local=[],
-                                         referential=[]))])]
+    return [evaluate_scan([(ds, replace(spec, row_local=[], referential=[]),
+                            None)])]
 
 
 _TAG = "__tag__"
@@ -325,36 +342,57 @@ def _is_cardinality(cc: CompiledConstraint) -> bool:
     return isinstance(cc.constraint, (MaxCount, MinCount))
 
 
-def evaluate_scan(
-        parts: Sequence[Tuple["ray.data.Dataset", CompiledSpec]],
-) -> "ray.data.Dataset":
-    """Each ``(ds, spec)`` part's ``spec.row_local`` and every check in
-    its ``spec.grouped`` from ONE ``map_batches`` over ``ds``.  The parts
-    share ``id_columns``; their inputs need not share a schema.
+def _build_tag(tag: int) -> int:
+    """The tag of the build rows of the referential check tagged ``tag``."""
+    return -2 - tag
 
-    Without grouped checks the union of the scans is the violations.
-    With them, each scan emits one tagged table (:func:`_scan_batch`),
-    its checks numbered after the previous parts', and the union is
-    routed by one :func:`_exchange`, whose sweep (:func:`_grouped_sweep`)
-    passes the violation rows through, reduces every cardinality check's
-    partials in one Arrow ``group_by`` and every GroupedSparql check's
-    rows by :func:`_sparql_groups`, per block.  Id-column types are read
-    off each batch and block, so one part fetches no schema."""
-    grouped = [cc for _, spec in parts for cc in spec.grouped]
-    pad = _scan_schema(parts) if grouped and len(parts) > 1 else None
-    scans, first_tag = [], 0
-    for ds, spec in parts:
+
+def evaluate_scan(
+        parts: Sequence[Tuple["ray.data.Dataset", CompiledSpec,
+                              Optional[Dict[str, object]]]],
+) -> "ray.data.Dataset":
+    """Each ``(ds, spec, refs)`` part's ``spec.row_local`` and every check
+    in its ``spec.grouped`` and ``spec.referential`` from ONE
+    ``map_batches`` over ``ds``.  The parts share ``id_columns``; their
+    inputs need not share a schema.  ``refs`` maps each referential
+    check's column to its referenced side: a Dataset, whose
+    ``ref_column`` values are the keys, or an array of them.
+
+    Without such checks the union of the scans is the violations.  With
+    them, each scan emits one tagged table (:func:`_scan_batch`), its
+    checks numbered after the previous parts', each referenced side's
+    distinct keys (:func:`_ref_keys`) are one more scan, or one
+    driver-held block for an array, and all are routed by one
+    :func:`_exchange`, whose sweep (:func:`_grouped_sweep`) reduces
+    every check per block.  Id-column types are read off each batch and
+    block, so one part fetches no schema."""
+    checks = [cc for _, spec, _ in parts
+              for cc in spec.grouped + spec.referential]
+    pad = (_scan_schema([(ds, spec) for ds, spec, _ in parts])
+           if checks and len(parts) > 1 else None)
+    scans, tables, first_tag = [], [], 0
+    for ds, spec, refs in parts:
         scans.append(ds.map_batches(
             _scan_batch, batch_format="pyarrow", fn_kwargs=dict(
-                spec=spec, first_tag=first_tag if grouped else None,
+                spec=spec, first_tag=first_tag if checks else None,
                 pad=pad)))
         first_tag += len(spec.grouped)
+        for cc in spec.referential:
+            c, ref = cc.constraint, (refs or {})[cc.constraint.column]
+            kw = dict(name=_KEY + c.column, tag=_build_tag(first_tag))
+            if isinstance(ref, ray.data.Dataset):
+                scans.append(ref.select_columns([c.ref_column]).map_batches(
+                    _ref_keys, batch_format="pyarrow",
+                    fn_kwargs=dict(column=c.ref_column, **kw)))
+            else:
+                tables.append(_ref_keys(pa.table({"key": ref}), "key", **kw))
+            first_tag += 1
     scan = scans[0].union(*scans[1:]) if len(scans) > 1 else scans[0]
-    if not grouped:
+    if not checks:
         return scan
-    spec = replace(parts[0][1], row_local=[], referential=[],
-                   grouped=grouped)
-    return _exchange(scan, functools.partial(_grouped_sweep, spec=spec))
+    spec = replace(parts[0][1], row_local=[], referential=[], grouped=checks)
+    return _exchange(scan, functools.partial(_grouped_sweep, spec=spec),
+                     tables)
 
 
 def _scan_schema(parts: Sequence[Tuple["ray.data.Dataset", CompiledSpec]]
@@ -374,11 +412,13 @@ def _scan_schema(parts: Sequence[Tuple["ray.data.Dataset", CompiledSpec]]
 def _scan_batch(batch: pa.Table, spec: CompiledSpec,
                 first_tag: Optional[int],
                 pad: Optional[pa.Schema] = None) -> pa.Table:
-    """One input batch → its row-local violations (:func:`evaluate_row_local`),
-    untagged when ``first_tag`` is None (no part of the scan has a
-    grouped check), and each grouped check's rows: a MaxCount/MinCount
+    """One input batch → its row-local violations (and a referential
+    check's null keys under ``null_is_violation``), untagged when
+    ``first_tag`` is None (no part of the scan has a grouped or
+    referential check), and each such check's rows: a MaxCount/MinCount
     check's partials (:func:`partial_group_counts`), a GroupedSparql
-    check's pruned input rows (:func:`_sparql_rows`).
+    check's pruned input rows (:func:`_sparql_rows`), a referential
+    check's probe rows: id columns, ``focus_node``, ``value`` and key.
 
     The tagged output has one schema for every batch: the violation
     columns, ``__tag__`` (-1 for a violation row, ``first_tag + i`` for
@@ -389,29 +429,53 @@ def _scan_batch(batch: pa.Table, spec: CompiledSpec,
     ``value``) apart from it.  A column a row does not use is null.
     Violation rows are routed by the hash of their focus node, a check's
     rows by its key."""
-    viol = evaluate_row_local(batch, spec)
+    focus = (render_focus(batch, spec.focus_template)
+             if spec.referential else None)
+    flags = ([(cc, cc.constraint.mask(batch)) for cc in spec.row_local]
+             if batch.num_rows else [])
+    flags += [(cc, pc.is_null(batch[cc.constraint.column]))
+              for cc in spec.referential if cc.constraint.null_is_violation]
+    viol = violation_rows(batch, spec, flags, focus)
     if first_tag is None:
         return viol
     focus_h = key_hash64(viol["focus_node"]).view(np.int64)
     parts = [viol.append_column(_TAG, pa.array(np.full(viol.num_rows, -1)))
              .append_column("__h__", pa.array(focus_h))]
-    for i, cc in enumerate(spec.grouped, first_tag):
+    for i, cc in enumerate(spec.grouped + spec.referential, first_tag):
         c = cc.constraint
-        group_by = list(c.group_by)
-        if _is_cardinality(cc):
+        if isinstance(c, Referential):
+            # one probe row per non-null key, routed by the key
+            key = _KEY + c.column
+            p = pa.table({**{k: batch[k] for k in spec.id_columns},
+                          "focus_node": focus, "value": _value_strings(
+                              batch, cc.value_column or cc.property_path),
+                          key: batch[c.column]})
+            p = _with_route_hash(p.filter(pc.is_valid(p[key])), [key])
+        elif _is_cardinality(cc):
+            group_by = list(c.group_by)
             p = partial_group_counts(
                 batch, group_by,
                 c.column if c.column not in group_by else None)
-            names = [_KEY + k for k in group_by] + ["partial_n", "__h__"]
+            p = p.rename_columns([_KEY + k for k in group_by]
+                                 + ["partial_n", "__h__"])
         else:
-            p = _with_route_hash(_sparql_rows(batch, c), group_by)
-            names = [_KEY + k for k in c.read_columns()] + ["__h__"]
-        parts.append(p.rename_columns(names)
-                     .append_column(_TAG, pa.array(np.full(p.num_rows, i))))
+            p = _with_route_hash(_sparql_rows(batch, c), list(c.group_by))
+            p = p.rename_columns([_KEY + k for k in c.read_columns()]
+                                 + ["__h__"])
+        parts.append(p.append_column(_TAG, pa.array(np.full(p.num_rows, i))))
     # the parts' schemas unify in one order, and Arrow fills the
     # columns a part lacks with nulls
     return pa.concat_tables(([] if pad is None else [pad.empty_table()])
                             + parts, promote_options="default")
+
+
+def _ref_keys(batch: pa.Table, column: str, name: str, tag: int) -> pa.Table:
+    """The distinct non-null ``column`` values of ``batch`` as ``name``,
+    the probe rows' key column, tagged ``tag`` and routed as the probe
+    rows are (``key_hash64`` hashes int32 and int64 keys alike)."""
+    keys = pc.unique(batch[column]).drop_null()
+    return _with_route_hash(pa.table({
+        name: keys, _TAG: pa.array(np.full(len(keys), tag))}), [name])
 
 
 def _sparql_rows(batch: pa.Table, c) -> pa.Table:
@@ -434,8 +498,12 @@ def _grouped_sweep(block: pa.Table, spec: CompiledSpec) -> pa.Table:
     columns) in one Arrow ``group_by`` — a check's unused key columns are
     all null, so they split nothing — and each check keeps its groups
     outside its bound; each GroupedSparql check's rows, their prefix
-    stripped, go to :func:`_sparql_groups`.  Every violating group
-    becomes one violation row."""
+    stripped, go to :func:`_sparql_groups`, and each referential check's
+    to :func:`_dangling_rows`.  Every violating group becomes one
+    violation row."""
+    if "focus_node" not in block.column_names:
+        # only build rows: no probe scan emitted a block with columns
+        return pa.table({})
     tag = block[_TAG]
     names = list(spec.id_columns) + [f for f, _ in VIOLATION_FIELDS]
     out = [block.filter(pc.equal(tag, -1)).select(names)]
@@ -449,6 +517,9 @@ def _grouped_sweep(block: pa.Table, spec: CompiledSpec) -> pa.Table:
             [_TAG, *keys]).aggregate([("partial_n", "sum")])
     for i, cc in enumerate(spec.grouped):
         c = cc.constraint
+        if isinstance(c, Referential):
+            out.append(_dangling_rows(block, i, cc, names))
+            continue
         group_by = list(c.group_by)
         if _is_cardinality(cc):
             mine = tot.filter(pc.equal(tot[_TAG], i))
@@ -466,6 +537,21 @@ def _grouped_sweep(block: pa.Table, spec: CompiledSpec) -> pa.Table:
         out.append(_grouped_violation_rows(groups, cc, group_by, spec,
                                            id_types))
     return pa.concat_tables(out)
+
+
+def _dangling_rows(block: pa.Table, i: int, cc: CompiledConstraint,
+                   names: List[str]) -> pa.Table:
+    """Referential check ``cc``'s (tag ``i``) probe rows in ``block``
+    whose key is absent from its build rows there, static fields filled."""
+    key = _KEY + cc.constraint.column
+    tag = block[_TAG]
+    built = block.filter(pc.equal(tag, _build_tag(i)))[key]
+    rows = block.filter(pc.equal(tag, i))
+    rows = rows.filter(pc.invert(pc.is_in(
+        rows[key], value_set=built.combine_chunks())))
+    static = static_fields(cc, rows.num_rows)
+    return pa.table({n: static[n] if n in static else rows[n]
+                     for n in names})
 
 
 def _key_runs(t: pa.Table, keys: List[str]) -> np.ndarray:

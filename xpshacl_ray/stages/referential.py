@@ -1,31 +1,20 @@
-"""Referential / FK existence checks (C4) — broadcast anti-join.
+"""Referential / FK existence checks (C4): driver-side key sets.
 
-The reference's ``sh:class`` check ("the FK value's referent has the
-required type", SURVEY.md C4) becomes: broadcast the referenced key set once
-via ``ray.put`` (zero-copy Arrow in the object store), then a vectorized
-``pc.is_in`` anti-join inside ``map_batches``.  No shuffle: at 100 TB the
-fact table streams while the dimension-key set is read from shared memory by
-every task on a node.
-
-There is no separate referential stage: ``ValidationEngine.validate`` fuses
-:class:`_RefMask` into the row-local scan, so the probe costs no extra pass
-over the input.  This module builds what gets broadcast — the exact key set
-(:func:`distinct_keys`, :func:`conforming_keys`) or, for dimension sides too
-big to ship exactly, a Bloom filter (:func:`bloom_keys`).  Either is built
-in one streamed pass with no exchange: per-block partials (``pc.unique`` or
-a partial filter) merge on the driver, which holds the broadcast value
-anyway.
+The reference's ``sh:class`` check (SURVEY.md C4) is an anti-join in
+the validate scan's one exchange
+(:func:`~xpshacl_ray.stages.grouped.evaluate_scan`), so the referenced
+side never has to fit on the driver.  This module builds key sets for
+callers that want one first: the exact set (:func:`distinct_keys`) or
+the keys of the rows that conform to a shape (:func:`conforming_keys`,
+sh:node at table scale), both for ``validate(ref_keys=…)``, and a Bloom
+filter (:func:`bloom_keys`).  Each is one streamed pass with no
+exchange: per-block partials merge on the driver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pyarrow as pa
 import pyarrow.compute as pc
-
-import ray
-import ray.data
 
 
 def distinct_keys(ref_ds: "ray.data.Dataset", column: str) -> pa.Array:
@@ -37,8 +26,8 @@ def _merged_unique(ds: "ray.data.Dataset", column: str) -> pa.Array:
     """Distinct non-null values of ``column`` over ``ds``, sorted, in the
     column's own Arrow type: ``pc.unique`` per block in one
     ``map_batches``, streamed to the driver and merged there with
-    ``pc.unique`` once more.  The result is broadcast to every scan task
-    anyway, so it must fit on the driver; no exchange is needed."""
+    ``pc.unique`` once more.  The result is held by the driver, so it
+    must fit there; no exchange is needed."""
     def block_unique(b: pa.Table) -> pa.Table:
         return pa.table({column: pc.unique(b[column])})
 
@@ -51,65 +40,15 @@ def _merged_unique(ds: "ray.data.Dataset", column: str) -> pa.Array:
     return vals.take(pc.array_sort_indices(vals))
 
 
-@dataclass
-class _RefMask:
-    """Row-local adapter: violation where column value ∉ broadcast key set.
-
-    The broadcast payload is either the exact key array (``pc.is_in``) or a
-    :class:`~xpshacl_ray.functions.sketches.BloomFilter` — the scale path
-    for dimension sides too large to ship exactly (one-sided error: a
-    Bloom "absent" is a certain violation; up to fp_rate of true
-    violations are missed — quantified, documented trade-off).
-
-    ``null_is_violation=False`` (the default) excuses NULL FKs, matching
-    the engine-wide SHACL null policy and the ``NOT IN`` oracle semantics;
-    missing values are ``Required``'s responsibility.
-    """
-
-    column: str
-    keys_ref: "ray.ObjectRef"
-    null_is_violation: bool = False
-
-    def mask(self, batch: pa.Table):
-        from ..functions.sketches import BloomFilter
-
-        keys = ray.get(self.keys_ref)  # zero-copy from local object store
-        col = batch[self.column]
-        if isinstance(keys, BloomFilter):
-            import numpy as np
-
-            # vectorized rendering: Arrow cast-to-string (no per-value
-            # Python str()), null slots probed as "" then masked out
-            s = pc.cast(col, pa.string())
-            if isinstance(s, pa.ChunkedArray):
-                s = s.combine_chunks()
-            valid = np.asarray(pc.is_valid(s))
-            rendered = pc.fill_null(s, "").to_numpy(zero_copy_only=False)
-            present = keys.might_contain(rendered)
-            if self.null_is_violation:
-                return pa.array(~present | ~valid)
-            return pa.array(~present & valid)
-        if pa.types.is_null(keys.type):
-            # an empty key set (a referenced side with no rows) has no
-            # type of its own; every non-null key is then absent
-            keys = keys.cast(col.type)
-        # pc.is_in yields False (not null) for null inputs, so gate on
-        # validity explicitly rather than via fill_null
-        bad = pc.invert(pc.is_in(col, value_set=keys))
-        if self.null_is_violation:
-            return pc.fill_null(pc.or_(bad, pc.is_null(col)), True)
-        return pc.fill_null(pc.and_(bad, pc.is_valid(col)), False)
-
-
 def conforming_keys(dim_ds: "ray.data.Dataset", key_column: str,
                     constraints: list) -> pa.Array:
     """Distinct keys of dimension rows satisfying EVERY row-local
     constraint — the Parquet-scale half of sh:node.  The TTL path walks
     the graph driver-side (``sources/ttl._NodeChecker``); at table
     scale the referenced shape's facets are evaluated vectorized over
-    the dimension table in one streamed pass and the CONFORMING key
-    set is broadcast (``ray.put``) for the fact-table anti-join probe
-    (:class:`_RefMask`) — no shuffle touches the fact side.
+    the dimension table in one streamed pass, and the CONFORMING key
+    set is the referenced side of a ``Referential`` check on the fact
+    table (``validate(ref_keys=…)``).
 
     Engine-wide SHACL null policy applies: a NULL facet value never
     violates a value constraint (zero-valued rows are minCount /
@@ -151,8 +90,8 @@ def bloom_keys(ref_ds: "ray.data.Dataset", column: str,
 
     def partial(b: pa.Table) -> pa.Table:
         f = BloomFilter(n_items=expected_items, fp_rate=fp_rate)
-        # Arrow cast-to-string rendering — must match the probe side
-        # (_RefMask) exactly; both are vectorized, no per-value str()
+        # Arrow cast-to-string rendering: a probe must render its keys
+        # the same way (vectorized, no per-value str())
         s = pc.cast(b[column], pa.string())
         if isinstance(s, pa.ChunkedArray):
             s = s.combine_chunks()
