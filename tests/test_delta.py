@@ -112,11 +112,11 @@ def _delta_runs(shards, out, engine):
             for r in reports]
 
 
-def test_validate_delta_reads_each_shard_in_one_block_per_cpu(
-        tmp_path, monkeypatch):
-    """Each shard read is cut into one block per CPU (4 in the test
-    session), and ran/skipped/pruned and the violations match the same
-    runs over Ray's own read plan."""
+def test_validate_delta_reads_each_shard_in_one_block(tmp_path,
+                                                      monkeypatch):
+    """Each one-file shard read is one block, not cut after it is read,
+    and ran/skipped/pruned and the violations match the same runs over
+    Ray's own read plan."""
     from xpshacl_ray.pipelines import validate
 
     def write_shards(root):
@@ -131,13 +131,13 @@ def test_validate_delta_reads_each_shard_in_one_block_per_cpu(
 
     def recording(self, ds, **kwargs):
         ds = ds.materialize()
-        blocks.append(ds.num_blocks())
+        blocks.append((ds.num_blocks(), "SplitBlocks" in ds.stats()))
         return validate_fn(self, ds, **kwargs)
 
     monkeypatch.setattr(ValidationEngine, "validate", recording)
     sized = _delta_runs(write_shards(tmp_path / "a"),
                         str(tmp_path / "out_a"), engine)
-    assert blocks == [4] * 4
+    assert blocks == [(1, False)] * 4
     monkeypatch.setattr(validate, "read_parquet", ray.data.read_parquet)
     assert _delta_runs(write_shards(tmp_path / "b"),
                        str(tmp_path / "out_b"), engine) == sized

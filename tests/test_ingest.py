@@ -1,8 +1,11 @@
-"""``sources.ingest``: the read sizing rule (fewer files than CPUs → one
-block per CPU, else Ray's own plan) and the lineage columns' sha256
-against ``hashlib``.  The test session's Ray cluster has 4 CPUs."""
+"""``sources.ingest``: the read sizing rule (a read of fewer files than
+Ray's plan has blocks → one unsplit block per file, fused with the maps
+after it; else Ray's own plan) and the lineage columns' sha256 against
+``hashlib``.  The test session's Ray cluster has 4 CPUs, so Ray plans
+at least 8 blocks."""
 
 import hashlib
+import re
 from collections import Counter
 
 import pyarrow as pa
@@ -33,21 +36,31 @@ def test_cluster_cpus_is_the_session_cpu_count():
     assert cluster_cpus() == 4
 
 
-def test_single_file_read_gives_one_block_per_cpu(tmp_path):
-    fx, path = _code_file(tmp_path)
-    ds = read_code_table(path)
-    assert _blocks(ds) == 4
-    assert ds.count() == fx.table.num_rows
-
-
-def test_read_of_at_least_k_files_keeps_rays_plan(tmp_path):
-    t = generate_code_files(600, seed=2).table
+def _one_row_files(tmp_path, n):
+    t = generate_code_files(n, seed=2).table
     files = []
-    for i in range(6):
+    for i in range(n):
         files.append(str(tmp_path / f"part{i}.parquet"))
-        pq.write_table(t.slice(i * 100, 100), files[-1])
-    assert _blocks(read_parquet(files[:2])) == 4
-    for paths in (files[:4], files, str(tmp_path)):
+        pq.write_table(t.slice(i, 1), files[-1])
+    return files
+
+
+@pytest.mark.parametrize("n_files", ["1", "2", "k", "2k-1"])
+def test_read_of_fewer_files_than_rays_plan_gives_one_block_per_file(
+        tmp_path, n_files):
+    """Ray plans at least 2 × CPUs blocks, so each of these reads would
+    be cut after it is read; instead each file is one unsplit block."""
+    k = cluster_cpus()
+    n = {"1": 1, "2": 2, "k": k, "2k-1": 2 * k - 1}[n_files]
+    ds = read_code_table(_one_row_files(tmp_path, n)).materialize()
+    assert ds.num_blocks() == n
+    assert "SplitBlocks" not in ds.stats()
+    assert ds.count() == n
+
+
+def test_read_of_many_small_files_keeps_rays_plan(tmp_path):
+    files = _one_row_files(tmp_path, 40)
+    for paths in (files, str(tmp_path)):
         assert (_blocks(read_parquet(paths))
                 == _blocks(ray.data.read_parquet(paths)))
 
@@ -66,8 +79,9 @@ def _violations(engine, ds, keys) -> Counter:
 
 def test_violations_do_not_depend_on_the_block_split(tmp_path):
     """``build_engine()``'s violations, MaxCount and Referential included,
-    are the same multiset through ``read_code_table`` (4 blocks) as
-    through ``from_arrow`` of the same table in 1 and in 40 blocks."""
+    are the same multiset through ``read_code_table`` (1 block: one
+    file) as through ``from_arrow`` of the same table in 1 and in 40
+    blocks."""
     fx, path = _code_file(tmp_path)
     keys = distinct_keys(ray.data.from_arrow(fx.commits), "commit")
     engine = build_engine(kg_path=str(tmp_path / "kg.parquet"))
@@ -81,6 +95,36 @@ def test_violations_do_not_depend_on_the_block_split(tmp_path):
     for parts in ([table], [table.slice(i, step)
                             for i in range(0, table.num_rows, step)]):
         assert _violations(engine, ray.data.from_arrow(parts), keys) == want
+
+
+def test_validate_scan_fuses_the_read_with_scan_batch(tmp_path,
+                                                      monkeypatch):
+    """The validate scan over ``read_code_table`` of one file, with a
+    MaxCount and a Referential check, is one fused operator: the read,
+    the lineage map and ``_scan_batch`` run in one task per file, and
+    nothing cuts the read's output."""
+    fx, path = _code_file(tmp_path)
+    keys = distinct_keys(ray.data.from_arrow(fx.commits), "commit")
+    engine = build_engine(kg_path=str(tmp_path / "kg.parquet"))
+    kinds = {type(cc.constraint).__name__ for cc in
+             engine.compiled.grouped + engine.compiled.referential}
+    assert {"MaxCount", "Referential"} <= kinds
+    stats, materialize = [], ray.data.Dataset.materialize
+
+    def recording(self):
+        ds = materialize(self)
+        stats.append(ds.stats())
+        return ds
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", recording)
+    engine.validate(read_code_table(path), ref_keys={"commit": keys})
+    monkeypatch.undo()
+    ops = [op for s in stats
+           for op in re.findall(r"^Operator \d+ (\S+):", s, re.M)]
+    assert [op for op in ops if "ReadParquet" in op] == [
+        "ReadParquet->MapBatches(add_lineage_columns)"
+        "->MapBatches(_scan_batch)"]
+    assert not any("SplitBlocks" in s for s in stats)
 
 
 _VALUES = ["a", None, "", "héllo wörld ✓ 日本語", "x" * 5000, None, "\x00z"]

@@ -34,7 +34,10 @@ run in the driver process, with the KG cache loaded once there.
 
 :func:`validate_parts` is eager and scans each of its input parts, and
 each referenced side, once, in one ``map_batches`` call each; all of
-them cross one exchange.  It checks each spec's columns without a
+them cross one exchange.  Over the engine's Parquet reads
+(:func:`~xpshacl_ray.sources.ingest.read_parquet`), which never cut a
+file after reading it, each scan fuses with its read: the task that
+reads a file also scans it.  It checks each spec's columns without a
 schema probe (free when the input knows its schema, else only after a
 failed execution).  ``validate`` is its one-part case, and a Turtle
 validate (:func:`~xpshacl_ray.sources.ttl.validate_ttl`) passes one

@@ -14,22 +14,26 @@ Derived at ingest (SURVEY.md §1.3):
   across runs, partitionings and resumes — no global counter needed, which
   matters because a streaming executor has no cheap global row offset.
 
-Read sizing (:func:`read_parquet`): a read that resolves to fewer files
-than the cluster has CPUs (k) is cut into exactly k blocks; any other read
-keeps Ray's own plan.  Ray sizes a read as ``max(min(200, bytes / 1 MiB),
-2 × CPUs)`` blocks, but one file is one read task, so Ray cuts that task's
-output afterwards (``ReadParquet->SplitBlocks(N)``), and the split also
-keeps the read from fusing with the map that follows it.  A 17.8 MB file
-came out as 17 blocks of ~70 rows, a 179-row shard as 2 × CPUs blocks:
-each block then costs one scan task, and at those sizes the tasks'
-fixed costs were most of the scan's wall time.
-k blocks is the same count the grouped exchange cuts its hash ranges
-into, so the scan and the exchange each run k tasks.  Blocks stay bounded
-by ``DataContext.target_max_block_size``: Ray's size-based split still
-applies, so a single large file still streams in bounded blocks.  The rule
-is set per read, not through ``DataContext`` (``read_op_min_num_blocks``
-or ``target_min_block_size`` would change every Dataset in the session),
-and a caller's own ``override_num_blocks`` wins.
+Read sizing (:func:`read_parquet`): a file is never cut after it is read.
+Ray sizes a read as ``max(min(200, bytes / 1 MiB), 2 × CPUs)`` blocks,
+but one file is one read task, so a read of fewer files than that has
+each task's output cut afterwards (``ReadParquet->SplitBlocks(N)``).  Ray
+does not fuse an operator that splits its output with the map after it,
+so the raw rows, ``content`` included, would go through the object store
+and N map tasks would run over them.  When Ray's plan asks for more
+blocks than the read has files, the read is planned as exactly one block
+per file instead: one task reads a file and runs the maps after it (the
+lineage map, the validate scan's ``_scan_batch``), and only their output
+lands in the object store.  A read with at least as many files as Ray's
+plan has blocks keeps that plan: Ray groups many small files into fewer
+tasks without cutting any.  Blocks stay bounded by
+``DataContext.target_max_block_size``: Ray still splits a read task's
+output by size as it reads, so a single large file streams in bounded
+blocks.  The trade-off: a single file is scanned by one task, not by k
+map tasks after one task has read it whole.  The rule is set per read,
+not through ``DataContext`` (``read_op_min_num_blocks`` would change
+every Dataset in the session), and a caller's own
+``override_num_blocks`` wins.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
+from ray.data._internal.util import _autodetect_parallelism
+from ray.data.context import DataContext
 
 
 def cluster_cpus(default: int = 1) -> int:
@@ -54,19 +60,27 @@ def cluster_cpus(default: int = 1) -> int:
 
 
 def read_parquet(paths, **read_kwargs) -> "ray.data.Dataset":
-    """:func:`ray.data.read_parquet`, cut into one block per CPU when it
-    resolves to fewer files than the cluster has CPUs (module docstring).
+    """:func:`ray.data.read_parquet`, planned as one block per file when
+    Ray's own plan (``_autodetect_parallelism``, the block count Ray's
+    read planner asks for) has more blocks than the read has files
+    (module docstring).
 
     The files are listed by the first read's plan without an execution;
     the re-planned read reuses that read's datasource, whose construction
     already sampled the files (a Ray task per read)."""
     ds = ray.data.read_parquet(paths, **read_kwargs)
-    k = cluster_cpus()
-    if "override_num_blocks" in read_kwargs or len(ds.input_files()) >= k:
+    if "override_num_blocks" in read_kwargs:
         return ds
+    n_files = len(ds.input_files())
     read = ds._logical_plan.dag
+    ctx = DataContext.get_current()
+    planned, _, _ = _autodetect_parallelism(
+        -1, ctx.target_max_block_size, ctx,
+        read._datasource_or_legacy_reader, read._mem_size)
+    if not 0 < n_files < planned:
+        return ds
     return ray.data.read_datasource(
-        read._datasource, override_num_blocks=k,
+        read._datasource, override_num_blocks=n_files,
         ray_remote_args=read._ray_remote_args, concurrency=read._concurrency)
 
 
@@ -140,7 +154,7 @@ def read_code_table(
     ds = read_parquet(paths, columns=columns, **read_kwargs)
     if with_lineage:
         ds = ds.map_batches(
-            lambda b: add_lineage_columns(b, content_col, key_cols),
-            batch_format="pyarrow",
+            add_lineage_columns, batch_format="pyarrow",
+            fn_kwargs=dict(content_col=content_col, key_cols=key_cols),
         )
     return ds

@@ -89,8 +89,7 @@ def _with_route_hash(t: pa.Table, keys: List[str]) -> pa.Table:
 
 def _exchange_partitions() -> int:
     """k, the number of ``__h__`` ranges of one exchange: the cluster's
-    CPU count, at least 1, which is also the block count of a small
-    read (:func:`~xpshacl_ray.sources.ingest.read_parquet`)."""
+    CPU count, at least 1."""
     return cluster_cpus()
 
 
