@@ -17,13 +17,13 @@ import ray.cloudpickle
 import ray.data
 from ray.data import DataContext
 
+from xpshacl_ray.pipelines.validate import ValidationEngine, validate_parts
 from xpshacl_ray.spec import (GroupedSparql, GroupPredicate, MaxCount,
-                              MinCount, NodeIsolation, SiblingAntiJoin,
+                              MinCount, NodeIsolation, Referential,
+                              SiblingAntiJoin, TransitiveCycle,
                               ValidationSpec, compile_spec)
 from xpshacl_ray.stages import grouped
-from xpshacl_ray.stages.grouped import (evaluate_grouped,
-                                        evaluate_node_isolation,
-                                        evaluate_sibling_join)
+from xpshacl_ray.stages.grouped import evaluate_grouped, evaluate_sibling_join
 
 BIG = 2**60 + 1  # corrupts to 1.152921504606847e+18 under float64
 
@@ -662,7 +662,8 @@ def test_node_isolation_matches_set_oracle():
     spec = compile_spec(ValidationSpec(constraints=[c],
                                        id_columns=["subject"],
                                        focus_template="{subject}"))
-    out = evaluate_node_isolation(ds, t, spec.grouped[0], spec)
+    # the full graph, driver-held, is the check's referenced side
+    out = validate_parts([(ds, spec, {c.name: t})])
     got = pa.concat_tables(out.iter_batches(batch_format="pyarrow",
                                             batch_size=None))
 
@@ -674,6 +675,152 @@ def test_node_isolation_matches_set_oracle():
     assert want
     assert Counter(dict(zip(got["subject"].to_pylist(),
                             map(int, got["value"].to_pylist())))) == want
+
+
+def _join_graph(seed=41):
+    """A full graph of (subject, predicate, object) triples over nodes
+    s0..s119, with null subjects and objects, the probe (its rows whose
+    subject is s0..s39 or null) and a member set with a null."""
+    rng = np.random.default_rng(seed)
+    n = 600
+
+    def nodes(hi, nulls):
+        return [None if rng.random() < nulls else f"s{i}"
+                for i in rng.integers(0, hi, n)]
+
+    full = pa.table({
+        "subject": pa.array(nodes(90, 0.05), pa.string()),
+        "predicate": pa.array([["p", "q", "r"][i]
+                               for i in rng.integers(0, 3, n)]),
+        "object": pa.array(nodes(120, 0.1), pa.string()),
+    })
+    focus = pa.array([f"s{i}" for i in range(40)])
+    probe = full.filter(pc.or_(pc.is_null(full["subject"]),
+                               pc.is_in(full["subject"], value_set=focus)))
+    members = pa.table({"node": pa.array(
+        [f"s{i}" for i in rng.choice(120, 30, replace=False)] + [None],
+        pa.string())})
+    return probe, full, members
+
+
+# check name -> (its referenced side, DuckDB condition on focus group g)
+JOIN_CHECKS = {
+    "iso-full": ("graph", "NOT EXISTS (SELECT 1 FROM graph f WHERE "
+                         "(f.predicate = 'p' AND f.subject = g.subject) OR "
+                         "(f.predicate = 'q' AND f.object = g.subject))"),
+    "iso-empty": ("graph_empty", "NOT EXISTS (SELECT 1 FROM graph_empty f "
+                                 "WHERE f.subject = g.subject)"),
+    "cyc-full": ("members", "EXISTS (SELECT 1 FROM members m "
+                            "WHERE m.node = g.subject)"),
+    "cyc-empty": ("members_empty", "EXISTS (SELECT 1 FROM members_empty m "
+                                   "WHERE m.node = g.subject)"),
+}
+
+
+def _slices(t: pa.Table, blocks: int):
+    step = -(-t.num_rows // blocks)
+    return [t.slice(i * step, step) for i in range(blocks)]
+
+
+def _join_oracle(probe: pa.Table, sides: dict) -> Counter:
+    """Every check's ``(message, subject, focus_node, value)`` rows by
+    DuckDB: ``GROUP BY subject`` with a ``NOT EXISTS`` over the witness
+    triples (isolation) or an ``EXISTS`` over the member set
+    (membership), the MaxCount's ``HAVING count(object) > 2`` and the
+    Referential's ``NOT IN`` over the non-null member nodes.  A null
+    subject is a group of its own and equals no witness or member."""
+    con = duckdb.connect()
+    con.register("probe", probe)
+    for name, t in sides.items():
+        con.register(name, t)
+    groups = ("(SELECT subject, count(*) AS n FROM probe "
+              "GROUP BY subject) g")
+    want = Counter()
+    for name, (_, cond) in JOIN_CHECKS.items():
+        want.update((name, s, None if s is None else f"group:{s}", str(n))
+                    for s, n in con.execute(
+                        f"SELECT subject, n FROM {groups} WHERE {cond}"
+                    ).fetchall())
+    want.update(("max", s, None if s is None else f"group:{s}", str(n))
+                for s, n in con.execute(
+                    "SELECT subject, count(object) FROM probe "
+                    "GROUP BY subject HAVING count(object) > 2").fetchall())
+    want.update(("ref", s, s, o) for s, o in con.execute(
+        "SELECT subject, object FROM probe WHERE object IS NOT NULL AND "
+        "object NOT IN (SELECT node FROM members WHERE node IS NOT NULL)"
+    ).fetchall())
+    return want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+@pytest.mark.parametrize("blocks", [1, 40])
+@pytest.mark.parametrize("form", ["dataset", "table"])
+def test_isolation_and_membership_match_duckdb(form, blocks, k,
+                                               monkeypatch):
+    """Two NodeIsolation and two TransitiveCycle checks — each with a
+    full and an empty referenced side — a MaxCount and a Referential in
+    one part give DuckDB's rows, whatever the exchange's k, the block
+    count and the form of the referenced sides: their tags and build
+    tags do not collide, and a null subject violates isolation but is
+    no member."""
+    monkeypatch.setattr(grouped, "_exchange_partitions", lambda: k)
+    probe, full, members = _join_graph()
+    assert probe["subject"].null_count and probe.num_rows < full.num_rows
+    tables = {"graph": full, "graph_empty": full.slice(0, 0),
+              "members": members, "members_empty": members.slice(0, 0)}
+
+    def side(name):
+        if form == "table":
+            return tables[name]
+        ds = ray.data.from_arrow(_slices(tables[name.replace("_empty", "")],
+                                         blocks))
+        return ds.filter(lambda r: False) if "_empty" in name else ds
+
+    checks = [NodeIsolation(outgoing=["p"], incoming=["q"], name=n,
+                            message=n, group_by=["subject"])
+              for n in ("iso-full", "iso-empty")]
+    checks += [TransitiveCycle(path="e", name=n, message=n,
+                               group_by=["subject"])
+               for n in ("cyc-full", "cyc-empty")]
+    checks += [MaxCount(column="object", group_by=["subject"], max_count=2,
+                        message="max"),
+               Referential(column="object", ref_table="members",
+                           ref_column="node", message="ref")]
+    spec = compile_spec(ValidationSpec(constraints=checks,
+                                       id_columns=["subject"],
+                                       focus_template="{subject}"))
+    refs = {n: side(s) for n, (s, _) in JOIN_CHECKS.items()}
+    refs["object"] = side("members") if form == "dataset" else members["node"]
+    viol = validate_parts([(ray.data.from_arrow(_slices(probe, blocks)),
+                            spec, refs)])
+    got = Counter((r["message"], r["subject"], r["focus_node"], r["value"])
+                  for r in viol.take_all())
+    assert got == _join_oracle(probe, tables)
+    # every check flags something but the empty member side; isolation
+    # against an empty graph flags every focus group, the null one too
+    flagged = Counter(m for m, *_ in got.elements())
+    assert set(flagged) == {"iso-full", "iso-empty", "cyc-full", "max",
+                            "ref"}
+    assert flagged["iso-empty"] == len(pc.unique(probe["subject"]))
+    assert ("iso-full", None) in {(m, s) for m, s, _, _ in got}
+
+
+@pytest.mark.parametrize("check", [
+    NodeIsolation(outgoing=["p"], name="iso", group_by=["subject"]),
+    TransitiveCycle(path="p", name="cyc", group_by=["subject"])])
+def test_join_check_without_referenced_side_raises_key_error(check):
+    """A NodeIsolation or TransitiveCycle check whose referenced side is
+    not in ``refs`` raises ``KeyError`` naming the check, as a
+    referential check without one does, on ``validate`` too."""
+    ds = ray.data.from_arrow(pa.table({"subject": ["a", "b"],
+                                       "predicate": ["p", "q"],
+                                       "object": ["b", "a"]}))
+    eng = ValidationEngine(ValidationSpec(
+        constraints=[check], id_columns=["subject"],
+        focus_template="{subject}"))
+    for refs in (None, {"other": ds}):
+        with pytest.raises(KeyError, match=check.name):
+            eng.validate(ds, ref_datasets=refs)
 
 
 def _two_key_rows(n=2400, seed=12):

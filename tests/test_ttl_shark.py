@@ -655,13 +655,8 @@ def test_node_isolation_matches_bruteforce(ray_session):
     import numpy as np
 
     import ray.data
-    from xpshacl_ray.spec import (
-        NodeIsolation,
-        ValidationSpec,
-        compile_constraint,
-        compile_spec,
-    )
-    from xpshacl_ray.stages.grouped import evaluate_node_isolation
+    from xpshacl_ray.pipelines.validate import validate_parts
+    from xpshacl_ray.spec import NodeIsolation, ValidationSpec, compile_spec
 
     rng = np.random.default_rng(31)
     nodes = [f"c{i}" for i in range(30)]
@@ -685,9 +680,9 @@ def test_node_isolation_matches_bruteforce(ray_session):
                       columns=["predicate", "object"])
     spec = ValidationSpec(constraints=[c], id_columns=["subject"],
                           focus_template="{subject}")
-    out = evaluate_node_isolation(
-        ray.data.from_arrow(full), full, compile_constraint(c),
-        compile_spec(spec)).to_pandas()
+    # the full graph is the check's referenced side
+    out = validate_parts([(ray.data.from_arrow(full), compile_spec(spec),
+                           {c.name: full})]).to_pandas()
     got = sorted(out["subject"]) if len(out) else []
 
     want = sorted(

@@ -7,7 +7,8 @@ Engine equivalent of the reference's ``main.py`` lifecycle::
                                        # C1/C2/C11 partials, C19
                                        # GroupedSparql rows and C4 probe
                                        # rows, tagged
-            ∪ ref.map_batches(unique)  # C4 build side: distinct keys
+            ∪ ref.map_batches(unique)  # C4/C19 build sides: distinct
+                                       # keys, witness or member nodes
             .materialize()                                # one execution
     parts = [route.remote(block, k __h__ ranges)          # plain tasks:
              for block in scan.to_arrow_refs()]           # the exchange
@@ -15,7 +16,10 @@ Engine equivalent of the reference's ``main.py`` lifecycle::
                              for j in range(k)])          # violations pass,
                                        # partials reduce, GroupedSparql
                                        # runs are judged, C4 probe rows
-                                       # absent from the keys violate
+                                       # absent from the keys violate,
+                                       # C19 focus keys absent from
+                                       # (isolation) or in (membership)
+                                       # the build keys violate
     sigs  = first_per_signature(∪ first_per_signature.remote(block)
                                   for block in viol.to_arrow_refs())
                                                           # G2 exact dedup

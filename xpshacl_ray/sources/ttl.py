@@ -2648,8 +2648,8 @@ def sparql_grouped_constraints(shape_triples: List[Triple]):
     - conjunctive single-triple NOT EXISTS / the OPTIONAL+HAVING(=0)
       aggregate spelling (unconnected classes / must-have-instances,
       ``shark_shapes.ttl:86-99, 118-136``) →
-      :class:`~xpshacl_ray.spec.NodeIsolation` — evaluated by the
-      witness anti-join plan over the full graph;
+      :class:`~xpshacl_ray.spec.NodeIsolation` — an anti-join of its
+      focus nodes against the full graph's witness nodes;
     - the shared-REPLACE-image equality form (synonyms,
       ``shark_shapes.ttl:101-116``) → a group-local fn constraint.
 
@@ -2801,9 +2801,10 @@ def validate_ttl(data_path: str, shapes_path: str,
     full subject IRI, property_path = full predicate IRI, pyshacl-style
     messages).  Every table below is one part of ONE
     :func:`~xpshacl_ray.pipelines.validate.validate_parts` call, so the
-    whole validate is one scan and at most one exchange; only the
-    anti-join plans (sibling anti-join, node isolation, cycle
-    membership), which read the full graph, run exchanges of their own.
+    whole validate is one scan and at most one exchange.  The
+    node-isolation and cycle-membership checks ride it, the full graph
+    or the cycle members as their referenced side; only the sibling
+    anti-join runs exchanges of its own.
 
     ``long_form=True`` additionally checks :func:`validate_ttl_long`'s
     parts — the multi-value constraints (sh:maxCount, sh:minCount > 1,
@@ -2857,7 +2858,7 @@ def _ttl_violations(data_triples: List[Triple], shape_triples: List[Triple],
 
     specs = dict(specs)
     parts = _long_form_parts(data_triples, shape_triples) if long_form else []
-    # the anti-join plans' violations, exchanged on their own, and specs
+    # the sibling anti-joins' violations, exchanged on their own, and specs
     joins, join_specs = [], []
     if sparql or sparql_impls:
         checks, skipped = sparql_sqlchecks(shape_triples)
@@ -2914,39 +2915,32 @@ def _ttl_violations(data_triples: List[Triple], shape_triples: List[Triple],
                 parts.append((pa.table({"subject": pa.array(
                     scoped_subs, pa.string())}), ispec, None))
                 continue
-            if isinstance(impl, (NodeIsolation, SiblingAntiJoin,
-                                 TransitiveCycle)):
+            if isinstance(impl, SiblingAntiJoin):
                 from ..spec import compile_constraint, compile_spec
-                from ..stages.grouped import (
-                    evaluate_membership,
-                    evaluate_node_isolation,
-                    evaluate_sibling_join,
-                )
+                from ..stages.grouped import evaluate_sibling_join
 
-                args = (compile_constraint(impl), compile_spec(ispec))
+                # anti-join over the FULL graph (NOT EXISTS consults
+                # every triple, not just target-scoped ones)
                 join_specs.append(ispec)
-                scoped_ds = ray.data.from_arrow(scoped_tt)
-                if isinstance(impl, TransitiveCycle):
-                    # iterative plan: cycle membership of the FULL
-                    # graph's <path> relation, scoped back to the target
-                    # subjects
-                    from ..functions.graph import cycle_members
-
-                    emask = pc.equal(full_tt["predicate"], impl.path)
-                    ed = full_tt.filter(pc.fill_null(emask, False))
-                    members = cycle_members(ray.data.from_arrow(pa.table(
-                        {"src": ed["subject"], "dst": ed["object"]})))
-                    joins.append(evaluate_membership(scoped_ds, members,
-                                                     *args))
-                else:
-                    # anti-join over the FULL graph (NOT EXISTS consults
-                    # every triple, not just target-scoped ones)
-                    evaluate = (evaluate_node_isolation
-                                if isinstance(impl, NodeIsolation)
-                                else evaluate_sibling_join)
-                    joins.append(evaluate(scoped_ds, full_tt, *args))
+                joins.append(evaluate_sibling_join(
+                    ray.data.from_arrow(scoped_tt), full_tt,
+                    compile_constraint(impl), compile_spec(ispec)))
                 continue
-            parts.append((scoped_tt, ispec, None))
+            refs = None
+            if isinstance(impl, NodeIsolation):
+                # its witnesses come from the FULL graph, like the
+                # anti-join's edges
+                refs = {impl.name: full_tt}
+            elif isinstance(impl, TransitiveCycle):
+                # iterative plan: cycle membership of the FULL graph's
+                # <path> relation, scoped back to the target subjects
+                from ..functions.graph import cycle_members
+
+                emask = pc.equal(full_tt["predicate"], impl.path)
+                ed = full_tt.filter(pc.fill_null(emask, False))
+                refs = {impl.name: cycle_members(ray.data.from_arrow(
+                    pa.table({"src": ed["subject"], "dst": ed["object"]})))}
+            parts.append((scoped_tt, ispec, refs))
     for target_class, spec in sorted(specs.items()):
         if target_class.startswith("target:"):
             table = entity_table(

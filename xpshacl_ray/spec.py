@@ -1078,14 +1078,15 @@ class NodeIsolation(GroupedSparql):
     ``OPTIONAL {?v a $this} … HAVING(COUNT(?v)=0)`` spelling of
     must-have-instances is the incoming=rdf:type special case).
 
-    Engine plan (:func:`xpshacl_ray.stages.grouped.
-    evaluate_node_isolation`): candidate rows (one per focus node, with
-    its triple count) union WITNESS rows (subjects of ``outgoing`` /
-    objects of ``incoming`` triples from the full graph) through ONE
-    hash-routed exchange reduced in Arrow — a node with a candidate row and no witness row
-    violates.  No broadcast, no per-group Python, no driver state: the
-    exchange carries one slim (node, int, int) row per candidate/witness
-    occurrence at any scale.
+    Engine plan: a join check of the scan's one exchange
+    (:func:`xpshacl_ray.stages.grouped.evaluate_scan`).  Its probe rows
+    are each batch's triple count per focus node (``group_by``, one
+    column); its build rows are each block's distinct witness nodes
+    (subjects of ``outgoing`` / objects of ``incoming`` triples) of the
+    FULL graph, its referenced side, keyed by its ``name`` in ``refs``.
+    The sweep keeps the focus nodes absent from that range's witnesses.
+    No broadcast and no per-group Python; a Dataset side is scanned, so
+    its witness set is never held on the driver.
     """
 
     outgoing: Sequence[str] = field(default_factory=list)
@@ -1108,12 +1109,16 @@ class TransitiveCycle(GroupedSparql):
     ``/root/reference/data/shark_shapes.ttl:128-137``):
     ``$this <path>+ $this`` — a focus node violates iff it lies on a
     directed cycle of the ``path`` relation in the FULL graph.  No
-    single groupby can express transitive closure; the engine binds the
-    iterative plan :func:`xpshacl_ray.functions.graph.cycle_members`
-    (distributed trim to fixpoint — a DAG, the healthy-hierarchy common
-    case, trims to empty with zero driver work — then exact Tarjan SCC
-    on the surviving cyclic core) and marks the scoped focus nodes that
-    are members."""
+    single groupby can express transitive closure; the Turtle validate
+    binds the iterative plan
+    :func:`xpshacl_ray.functions.graph.cycle_members` (distributed trim
+    to fixpoint — a DAG, the healthy-hierarchy common case, trims to
+    empty with zero driver work — then exact Tarjan SCC on the surviving
+    cyclic core).  Its ``node`` column is the check's referenced side,
+    keyed by its ``name`` in ``refs``: a join check of the scan's one
+    exchange (:func:`xpshacl_ray.stages.grouped.evaluate_scan`), built
+    like :class:`NodeIsolation` but keeping the focus nodes PRESENT in
+    that range's member nodes."""
 
     name: str = "transitive-cycle"
 

@@ -30,17 +30,21 @@ were measured and rejected.
 All checks of one ``validate`` share ONE exchange (:func:`evaluate_scan`):
 one ``map_batches`` per input part emits the row-local violations, every
 MaxCount/MinCount check's partials, every GroupedSparql check's pruned
-rows and every referential check's probe rows as one table tagged by
+rows, every referential check's probe rows and every NodeIsolation or
+TransitiveCycle check's count partials as one table tagged by
 ``__tag__``; a Turtle validate's parts (one table per target class or
 property shape) are scanned and exchanged together, their tags numbered
-across parts, and each referenced side is one more input.  The violation
-rows ride the exchange unchanged (routed by their focus hash) and pass
-straight through the sweep; the tag is folded into the sweep's group
-keys, so K cardinality checks cost one Arrow ``group_by`` per block,
-each GroupedSparql check reduces its own tag's rows in the same call,
-and each referential check keeps its probe rows absent from its keys.
-Only the SPARQL anti-join forms, which read a second (full-graph)
-input, keep their own exchanges.
+across parts.  Each join check's referenced side (a referenced table,
+the full graph, the cycle members) is one more input, whose distinct
+keys ride under a sibling build tag.  The violation rows ride the
+exchange unchanged (routed by their focus hash) and pass straight
+through the sweep; the tag is folded into the sweep's group keys, so K
+cardinality checks cost one Arrow ``group_by`` per block, each
+GroupedSparql check reduces its own tag's rows in the same call, a
+referential or isolation check keeps its probes absent from its build
+keys, and a membership check those present in them.  Only
+:func:`evaluate_sibling_join` keeps exchanges of its own: its second
+stage's ``(lo, hi)`` key comes out of a reduce, not out of a scan.
 
 Considered and rejected — combiner-side early-violation emit: a batch whose
 partial count already exceeds ``max_count`` proves the group violates, but
@@ -72,7 +76,7 @@ from ..functions.sketches import key_hash64
 from ..model import VIOLATION_FIELDS
 from ..sources.ingest import cluster_cpus
 from ..spec import (CompiledConstraint, CompiledSpec, MaxCount, MinCount,
-                    Referential)
+                    NodeIsolation, Referential, TransitiveCycle)
 from .evaluate import (_value_strings, render_focus, static_fields,
                        violation_rows, violations_schema)
 
@@ -179,7 +183,7 @@ def _exchange(ds: "ray.data.Dataset",
 
     Rows need not all be partials: :func:`evaluate_scan` also routes the
     row-local violation rows (hashed by focus node), the GroupedSparql
-    rows and the referential probe and key rows through here, so one
+    rows and every join check's probe and build rows through here, so one
     plan's checks and its violations share a single exchange.  Eager:
     the input executes before this returns, and a failing ``reduce``
     raises here."""
@@ -337,13 +341,26 @@ _TAG = "__tag__"
 _KEY = "__key__"  # prefix of the input columns a grouped check carries
 
 
-def _is_cardinality(cc: CompiledConstraint) -> bool:
-    return isinstance(cc.constraint, (MaxCount, MinCount))
+# the checks whose probe rows meet build rows from a referenced side
+_JOINS = (Referential, NodeIsolation, TransitiveCycle)
+
+
+def _sums_partials(cc: CompiledConstraint) -> bool:
+    """Whether ``cc``'s rows are count partials: a MaxCount/MinCount
+    check's, or a NodeIsolation/TransitiveCycle check's probe rows."""
+    return isinstance(cc.constraint,
+                      (MaxCount, MinCount, NodeIsolation, TransitiveCycle))
 
 
 def _build_tag(tag: int) -> int:
-    """The tag of the build rows of the referential check tagged ``tag``."""
+    """The tag of the build rows of the join check tagged ``tag``."""
     return -2 - tag
+
+
+def _join_key(c) -> str:
+    """The key column that join check ``c``'s probe and build rows share:
+    a Referential's ``column``, the others' one ``group_by`` column."""
+    return _KEY + (c.column if isinstance(c, Referential) else c.group_by[0])
 
 
 def evaluate_scan(
@@ -353,18 +370,25 @@ def evaluate_scan(
     """Each ``(ds, spec, refs)`` part's ``spec.row_local`` and every check
     in its ``spec.grouped`` and ``spec.referential`` from ONE
     ``map_batches`` over ``ds``.  The parts share ``id_columns``; their
-    inputs need not share a schema.  ``refs`` maps each referential
-    check's column to its referenced side: a Dataset, whose
-    ``ref_column`` values are the keys, or an array of them.
+    inputs need not share a schema.
 
-    Without such checks the union of the scans is the violations.  With
-    them, each scan emits one tagged table (:func:`_scan_batch`), its
-    checks numbered after the previous parts', each referenced side's
-    distinct keys (:func:`_ref_keys`) are one more scan, or one
-    driver-held block for an array, and all are routed by one
-    :func:`_exchange`, whose sweep (:func:`_grouped_sweep`) reduces
-    every check per block.  Id-column types are read off each batch and
-    block, so one part fetches no schema."""
+    ``refs`` maps each join check to its referenced side, a Dataset or a
+    driver-held ``pa.Table``: a referential check under its ``column``
+    (the side's ``ref_column`` values are the keys; an array of them
+    also does), a NodeIsolation or TransitiveCycle check under its
+    ``name`` (the full graph's ``subject``/``predicate``/``object``
+    triples, or the cycle members' ``node`` column).  A check without
+    its entry raises ``KeyError`` naming that key, before any execution.
+
+    Without grouped or join checks the union of the scans is the
+    violations.  With them, each scan emits one tagged table
+    (:func:`_scan_batch`), its checks numbered after the previous
+    parts', each referenced side's distinct keys (:func:`_build_keys`)
+    are one more scan, or one driver-held block for a table or an
+    array, and all are routed by one :func:`_exchange`, whose sweep
+    (:func:`_grouped_sweep`) reduces every check per block.  Id-column
+    types are read off each batch and block, so one part fetches no
+    schema."""
     checks = [cc for _, spec, _ in parts
               for cc in spec.grouped + spec.referential]
     pad = (_scan_schema([(ds, spec) for ds, spec, _ in parts])
@@ -375,17 +399,21 @@ def evaluate_scan(
             _scan_batch, batch_format="pyarrow", fn_kwargs=dict(
                 spec=spec, first_tag=first_tag if checks else None,
                 pad=pad)))
-        first_tag += len(spec.grouped)
-        for cc in spec.referential:
-            c, ref = cc.constraint, (refs or {})[cc.constraint.column]
-            kw = dict(name=_KEY + c.column, tag=_build_tag(first_tag))
+        for tag, cc in enumerate(spec.grouped + spec.referential, first_tag):
+            c = cc.constraint
+            if not isinstance(c, _JOINS):
+                continue
+            ref = (refs or {})[c.column if isinstance(c, Referential)
+                               else c.name]
+            kw = dict(c=c, tag=_build_tag(tag))
             if isinstance(ref, ray.data.Dataset):
-                scans.append(ref.select_columns([c.ref_column]).map_batches(
-                    _ref_keys, batch_format="pyarrow",
-                    fn_kwargs=dict(column=c.ref_column, **kw)))
+                scans.append(ref.select_columns(_build_columns(c)).map_batches(
+                    _build_keys, batch_format="pyarrow", fn_kwargs=kw))
             else:
-                tables.append(_ref_keys(pa.table({"key": ref}), "key", **kw))
-            first_tag += 1
+                if not isinstance(ref, pa.Table):  # an array of keys
+                    ref = pa.table({c.ref_column: ref})
+                tables.append(_build_keys(ref, **kw))
+        first_tag += len(spec.grouped) + len(spec.referential)
     scan = scans[0].union(*scans[1:]) if len(scans) > 1 else scans[0]
     if not checks:
         return scan
@@ -418,6 +446,8 @@ def _scan_batch(batch: pa.Table, spec: CompiledSpec,
     check's partials (:func:`partial_group_counts`), a GroupedSparql
     check's pruned input rows (:func:`_sparql_rows`), a referential
     check's probe rows: id columns, ``focus_node``, ``value`` and key.
+    A NodeIsolation or TransitiveCycle check's probe rows are the same
+    partials as a cardinality check's, counted over its focus key.
 
     The tagged output has one schema for every batch: the violation
     columns, ``__tag__`` (-1 for a violation row, ``first_tag + i`` for
@@ -444,13 +474,13 @@ def _scan_batch(batch: pa.Table, spec: CompiledSpec,
         c = cc.constraint
         if isinstance(c, Referential):
             # one probe row per non-null key, routed by the key
-            key = _KEY + c.column
+            key = _join_key(c)
             p = pa.table({**{k: batch[k] for k in spec.id_columns},
                           "focus_node": focus, "value": _value_strings(
                               batch, cc.value_column or cc.property_path),
                           key: batch[c.column]})
             p = _with_route_hash(p.filter(pc.is_valid(p[key])), [key])
-        elif _is_cardinality(cc):
+        elif _sums_partials(cc):
             group_by = list(c.group_by)
             p = partial_group_counts(
                 batch, group_by,
@@ -468,11 +498,38 @@ def _scan_batch(batch: pa.Table, spec: CompiledSpec,
                             + parts, promote_options="default")
 
 
-def _ref_keys(batch: pa.Table, column: str, name: str, tag: int) -> pa.Table:
-    """The distinct non-null ``column`` values of ``batch`` as ``name``,
-    the probe rows' key column, tagged ``tag`` and routed as the probe
-    rows are (``key_hash64`` hashes int32 and int64 keys alike)."""
-    keys = pc.unique(batch[column]).drop_null()
+def _build_columns(c) -> List[str]:
+    """The columns of join check ``c``'s referenced side that
+    :func:`_build_keys` reads."""
+    if isinstance(c, Referential):
+        return [c.ref_column]
+    if isinstance(c, TransitiveCycle):
+        return ["node"]
+    return ["subject", "predicate", "object"]
+
+
+def _build_keys(batch: pa.Table, c, tag: int) -> pa.Table:
+    """Join check ``c``'s build rows from ``batch`` of its referenced
+    side: the distinct non-null keys under :func:`_join_key`, tagged
+    ``tag`` and routed as the probe rows are (``key_hash64`` hashes int32
+    and int64 keys alike).  The keys are a referential check's
+    ``ref_column`` values, a NodeIsolation check's witness nodes (the
+    subjects of its ``outgoing`` and the objects of its ``incoming``
+    triples) or a TransitiveCycle check's member ``node``s, as strings
+    like the subjects they meet."""
+    if isinstance(c, Referential):
+        keys = batch[c.ref_column]
+    elif isinstance(c, TransitiveCycle):
+        keys = pc.cast(batch["node"], pa.string())
+    else:
+        hits = []
+        for col, preds in (("subject", c.outgoing), ("object", c.incoming)):
+            m = pc.is_in(batch["predicate"],
+                         value_set=pa.array(list(preds), pa.string()))
+            hits += batch.filter(pc.fill_null(m, False))[col].chunks
+        keys = pa.chunked_array(hits, batch.schema.field("subject").type)
+    keys = pc.unique(keys).drop_null()
+    name = _join_key(c)
     return _with_route_hash(pa.table({
         name: keys, _TAG: pa.array(np.full(len(keys), tag))}), [name])
 
@@ -493,10 +550,13 @@ def _sparql_rows(batch: pa.Table, c) -> pa.Table:
 
 def _grouped_sweep(block: pa.Table, spec: CompiledSpec) -> pa.Table:
     """Reduce one routed block of :func:`_scan_batch` output: violation
-    rows pass through; cardinality partials sum per (``__tag__``, key
-    columns) in one Arrow ``group_by`` — a check's unused key columns are
-    all null, so they split nothing — and each check keeps its groups
-    outside its bound; each GroupedSparql check's rows, their prefix
+    rows pass through; count partials sum per (``__tag__``, key columns)
+    in one Arrow ``group_by`` — a check's unused key columns are all
+    null, so they split nothing — and each cardinality check keeps its
+    groups outside its bound, each NodeIsolation check the focus keys
+    absent from its build keys in this block, and each TransitiveCycle
+    check those present in them (a null key is a group of its own and
+    matches no build key); each GroupedSparql check's rows, their prefix
     stripped, go to :func:`_sparql_groups`, and each referential check's
     to :func:`_dangling_rows`.  Every violating group becomes one
     violation row."""
@@ -507,7 +567,7 @@ def _grouped_sweep(block: pa.Table, spec: CompiledSpec) -> pa.Table:
     names = list(spec.id_columns) + [f for f, _ in VIOLATION_FIELDS]
     out = [block.filter(pc.equal(tag, -1)).select(names)]
     id_types = [block.schema.field(c).type for c in spec.id_columns]
-    card = [cc for cc in spec.grouped if _is_cardinality(cc)]
+    card = [cc for cc in spec.grouped if _sums_partials(cc)]
     if card:
         keys = dict.fromkeys(_KEY + k for cc in card
                              for k in cc.constraint.group_by)
@@ -520,12 +580,20 @@ def _grouped_sweep(block: pa.Table, spec: CompiledSpec) -> pa.Table:
             out.append(_dangling_rows(block, i, cc, names))
             continue
         group_by = list(c.group_by)
-        if _is_cardinality(cc):
+        if _sums_partials(cc):
             mine = tot.filter(pc.equal(tot[_TAG], i))
             n = mine["partial_n_sum"]
-            bad = mine.filter(pc.greater(n, int(c.max_count))
-                              if isinstance(c, MaxCount)
-                              else pc.less(n, int(c.min_count)))
+            if isinstance(c, MaxCount):
+                keep = pc.greater(n, int(c.max_count))
+            elif isinstance(c, MinCount):
+                keep = pc.less(n, int(c.min_count))
+            else:
+                built = block.filter(pc.equal(tag, _build_tag(i)))
+                keep = pc.is_in(mine[_join_key(c)], value_set=built[
+                    _join_key(c)].combine_chunks())
+                if isinstance(c, NodeIsolation):
+                    keep = pc.invert(keep)
+            bad = mine.filter(keep)
             groups = pa.table({**{k: bad[_KEY + k] for k in group_by},
                                "actual_count": bad["partial_n_sum"]})
         else:
@@ -542,7 +610,7 @@ def _dangling_rows(block: pa.Table, i: int, cc: CompiledConstraint,
                    names: List[str]) -> pa.Table:
     """Referential check ``cc``'s (tag ``i``) probe rows in ``block``
     whose key is absent from its build rows there, static fields filled."""
-    key = _KEY + cc.constraint.column
+    key = _join_key(cc.constraint)
     tag = block[_TAG]
     built = block.filter(pc.equal(tag, _build_tag(i)))[key]
     rows = block.filter(pc.equal(tag, i))
@@ -782,130 +850,3 @@ def evaluate_sibling_join(
         edge_rows, batch_format="pyarrow")
     bad = _exchange(cand.union(edges), unrelated)
     return _exchange(bad, dedupe)
-
-
-def evaluate_node_isolation(
-    ds: "ray.data.Dataset",
-    full,
-    cc: CompiledConstraint,
-    spec: CompiledSpec,
-    id_types: Optional[List[pa.DataType]] = None,
-) -> "ray.data.Dataset":
-    """Anti-join plan for :class:`~xpshacl_ray.spec.NodeIsolation`:
-    candidates (one slim row per focus node) union witness rows
-    (subjects of ``outgoing`` / objects of ``incoming`` triples of the
-    FULL graph) through ONE exchange reduced in Arrow — fully
-    distributed, no broadcast, no per-group Python.
-
-    ``ds``: the target-scoped triples Dataset (focus nodes' own rows);
-    ``full``: Dataset or pa.Table of the FULL graph's
-    (subject, predicate, object) rows (NOT EXISTS consults every
-    triple)."""
-    c = cc.constraint
-    out_pred = pa.array(sorted(set(c.outgoing)), pa.string())
-    in_pred = pa.array(sorted(set(c.incoming)), pa.string())
-
-    def witness_nodes(b: pa.Table) -> pa.Array:
-        parts = []
-        if len(out_pred):
-            m = pc.is_in(b["predicate"], value_set=out_pred)
-            parts.append(b.filter(pc.fill_null(m, False))["subject"])
-        if len(in_pred):
-            m = pc.is_in(b["predicate"], value_set=in_pred)
-            parts.append(b.filter(pc.fill_null(m, False))["object"])
-        return pa.concat_arrays(
-            [p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p
-             for p in parts]) if parts else pa.array([], pa.string())
-
-    return _focus_witness_groupby(
-        ds, full, ["subject", "predicate", "object"], witness_nodes,
-        cc, spec, id_types, violate_on_witness=False)
-
-
-def evaluate_membership(
-    ds: "ray.data.Dataset",
-    members,
-    cc: CompiledConstraint,
-    spec: CompiledSpec,
-    id_types: Optional[List[pa.DataType]] = None,
-) -> "ray.data.Dataset":
-    """Mark the focus nodes of ``ds`` that appear in ``members`` (a
-    Dataset/Table with one ``node`` column) — the mirror image of
-    :func:`evaluate_node_isolation` (violation iff the witness IS
-    present).  Used by :class:`~xpshacl_ray.spec.TransitiveCycle` to
-    scope cycle membership back to the shape's target class.  One
-    exchange; no broadcast, no per-group Python."""
-    def member_nodes(b: pa.Table) -> pa.Array:
-        nodes = b["node"]
-        if isinstance(nodes, pa.ChunkedArray):
-            nodes = nodes.combine_chunks()
-        if not pa.types.is_string(nodes.type) and not \
-                pa.types.is_large_string(nodes.type):
-            nodes = pc.cast(nodes, pa.string())
-        return nodes
-
-    return _focus_witness_groupby(ds, members, ["node"], member_nodes,
-                                  cc, spec, id_types, violate_on_witness=True)
-
-
-def _focus_witness_groupby(
-    ds: "ray.data.Dataset",
-    witnesses,
-    witness_cols: List[str],
-    witness_nodes,
-    cc: CompiledConstraint,
-    spec: CompiledSpec,
-    id_types: Optional[List[pa.DataType]],
-    violate_on_witness: bool,
-) -> "ray.data.Dataset":
-    """Shared plan of :func:`evaluate_node_isolation` and
-    :func:`evaluate_membership`: one slim ``(node, partial_count)`` row
-    per focus subject per batch, union one row per witness node
-    (``witness_nodes(batch)`` over ``witnesses`` pruned to
-    ``witness_cols``), through ONE :func:`_exchange` on ``node``.  A focus
-    node violates iff it has a witness (``violate_on_witness``) or has
-    none."""
-    id_types = _id_types(ds, spec, id_types)
-    keys = list(cc.constraint.group_by)
-    node_schema = pa.schema([("node", pa.string()),
-                             ("n_rows", pa.int64()),
-                             ("is_witness", pa.int64())])
-
-    def cand_rows(b: pa.Table) -> pa.Table:
-        # per-batch combiner: one (node, partial_count) row per subject
-        agg = b.select(["subject"]).group_by(["subject"]).aggregate(
-            [([], "count_all")])
-        k = agg.num_rows
-        return _with_route_hash(pa.table(
-            {"node": agg["subject"],
-             "n_rows": pc.cast(agg["count_all"], pa.int64()),
-             "is_witness": pa.array([0] * k, pa.int64())},
-            schema=node_schema), ["node"])
-
-    def witness_rows(b: pa.Table) -> pa.Table:
-        # batch-local dedup: the exchange needs one witness per node, not
-        # one per occurrence — shrinks it on dense graphs
-        nodes = pc.unique(pc.drop_null(witness_nodes(b)))
-        k = len(nodes)
-        return _with_route_hash(pa.table(
-            {"node": nodes, "n_rows": pa.array([0] * k, pa.int64()),
-             "is_witness": pa.array([1] * k, pa.int64())},
-            schema=node_schema), ["node"])
-
-    def sweep(g: pa.Table) -> pa.Table:
-        agg = g.group_by("node").aggregate([("is_witness", "max"),
-                                            ("n_rows", "sum")])
-        bad = agg.filter(pc.and_(
-            pc.equal(agg["is_witness_max"], int(violate_on_witness)),
-            pc.greater(agg["n_rows_sum"], 0)))
-        groups = pa.table({"subject": bad["node"],
-                           "actual_count": bad["n_rows_sum"]})
-        return _grouped_violation_rows(groups, cc, keys, spec, id_types)
-
-    if isinstance(witnesses, pa.Table):
-        witnesses = ray.data.from_arrow(witnesses)
-    cand = ds.select_columns(["subject"]).map_batches(
-        cand_rows, batch_format="pyarrow")
-    wit = witnesses.select_columns(witness_cols).map_batches(
-        witness_rows, batch_format="pyarrow")
-    return _exchange(cand.union(wit), sweep)
